@@ -3,14 +3,13 @@ closed manifolds, with the quantitative bounds that control them."""
 
 from .manifold import (TriMesh, Circle, Sphere, FlatTorus, OperatorPair,
                        load_mesh, save_mesh, make_sphere, make_torus_mesh,
-                       make_analytic, geodesic_distance, assemble_laplacian,
-                       MeshError)
+                       make_analytic, assemble_laplacian, MeshError)
 from .spectrum import (Spectrum, GeometryBounds, compute_spectrum,
                        eigen_growth_check, eigenfunction_sup_bounds,
                        truncation_index, truncation_tail_bound,
                        TruncationError, EigensolverError)
-from .heat import (HeatEvaluator, heat_kernel, heat_gradient, heat_trace,
-                   decay_check, varadhan_check, varadhan_time_grid)
+from .heat import (HeatEvaluator, heat_trace, decay_check, varadhan_check,
+                   varadhan_time_grid)
 from .embed import (Net, EmbeddingMap, build_net, voronoi_weights,
                     replicate_net, make_map, evaluate_map, image_distance,
                     dilatation_report, injectivity_report,

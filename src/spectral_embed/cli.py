@@ -79,9 +79,12 @@ class RunConfig:
                 raise ConfigError(f"missing config key {key}")
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"bad float for {key}: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite value for {key}: {raw!r}")
+        return value
 
     def get_int(self, key, default=None):
         raw = self.entries.get(key)
@@ -101,9 +104,12 @@ class RunConfig:
                 raise ConfigError(f"missing config key {key}")
             return list(default)
         try:
-            return [float(x) for x in raw.split(",") if x.strip()]
+            values = [float(x) for x in raw.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad float list for {key}: {raw!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"non-finite value in {key}: {raw!r}")
+        return values
 
     def report_entries(self):
         return {f"config_{k.replace('.', '_')}": v
@@ -146,7 +152,6 @@ def build_bounds(cfg, manifold):
     vol = manifold.volume
     return GeometryBounds(
         dim=dim,
-        kappa=cfg.get_float("bounds.kappa", 0.0),
         iota=cfg.get_float("bounds.iota", 1.0),
         volume=cfg.get_float("bounds.volume", vol),
         a=(cfg.get_float("bounds.a") if "bounds.a" in cfg.entries else None),
@@ -391,8 +396,8 @@ def verify_truncation(cfg, outdir, seed):
 
 def verify_counterexample(cfg, outdir, seed):
     man = build_manifold(cfg)
-    if not isinstance(man, FlatTorus):
-        raise ConfigError("counterexample verification needs a flat torus")
+    if not (isinstance(man, FlatTorus) and man.dim == 2):
+        raise ConfigError("counterexample verification needs a 2-D flat torus")
     gap = cfg.get_float("verify.gap", 100.0)
     spec = compute_spectrum(man, cfg.get_int("spectrum.count", 40))
     ev = HeatEvaluator(spec, spec.count - 1)

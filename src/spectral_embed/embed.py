@@ -31,81 +31,54 @@ class Net:
         return len(self.points)
 
 
-def _resolution(manifold):
-    if isinstance(manifold, TriMesh):
-        return manifold.mean_edge_length()
-    P = manifold.sample_points()
-    return (manifold.volume / len(P)) ** (1.0 / manifold.dim)
-
-
-def _mesh_net_fields(manifold, ids):
-    return np.stack([manifold.graph_distance_from(i) for i in ids])
-
-
 def build_net(manifold, delta, seed_point=None):
     """Farthest-point-sampled delta-net with Voronoi weights.
 
-    Deterministic: seeded at vertex 0 (mesh) or the first canonical sample
-    point (analytic); each step adds the sample point farthest from the
-    net until the covering radius drops to delta.
+    Deterministic: seeded at the first canonical sample point (vertex 0 on
+    a mesh); each step adds the sample point farthest from the net until
+    the covering radius drops to delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if delta < _resolution(manifold):
+    if delta < manifold.resolution():
         raise ValueError("net finer than discretization")
 
     # run until the covering radius is strictly below delta (a point at
     # exactly delta still triggers refinement, so equispaced configurations
     # split once more)
     stop = delta * (1.0 - 1e-12)
-    mesh = isinstance(manifold, TriMesh)
-    if mesh:
-        candidates = manifold.sample_points()
-        seed = 0 if seed_point is None else int(seed_point)
-        mind = manifold.graph_distance_from(seed)
-        chosen = [seed]
-        while mind.max() >= stop:
-            nxt = int(np.argmax(mind))
-            chosen.append(nxt)
-            mind = np.minimum(mind, manifold.graph_distance_from(nxt))
-        points = np.asarray(chosen, dtype=int)
-    else:
-        candidates = manifold.sample_points()
-        seed = candidates[0] if seed_point is None else np.asarray(seed_point)
-        mind = manifold.distance_from(seed, candidates)
-        chosen = [seed]
-        while mind.max() >= stop:
-            nxt = int(np.argmax(mind))
-            chosen.append(candidates[nxt])
-            mind = np.minimum(mind,
-                              manifold.distance_from(candidates[nxt], candidates))
-        points = np.vstack(chosen)
+    candidates = manifold.sample_points()
+    chosen = [candidates[0] if seed_point is None else seed_point]
+    fields = [manifold.distance_from(chosen[0])]
+    mind = fields[0]
+    while mind.max() >= stop:
+        chosen.append(candidates[int(np.argmax(mind))])
+        fields.append(manifold.distance_from(chosen[-1]))
+        mind = np.minimum(mind, fields[-1])
+    points = np.array(chosen)
 
-    weights, assignment, covering = _voronoi(manifold, points)
+    weights, covering = _voronoi(manifold, np.stack(fields))
     if covering > delta * (1 + 1e-9):
         raise ValueError("covering radius exceeds delta after sampling")
     return Net(points, float(delta), weights)
 
 
-def _voronoi(manifold, points):
-    """Nearest-net-point assignment (ties to the lowest index) and weights."""
-    if isinstance(manifold, TriMesh):
-        fields = _mesh_net_fields(manifold, points)
-        masses = manifold.masses
-    else:
-        samples = manifold.sample_points()
-        fields = manifold.distance_between(points, samples)
-        masses = manifold.sample_weights(samples)
-    assignment = np.argmin(fields, axis=0)
-    covering = float(fields.min(axis=0).max())
-    weights = np.zeros(len(points))
-    np.add.at(weights, assignment, masses)
-    return weights, assignment, covering
+def _voronoi(manifold, fields):
+    """Cell weights and covering radius from the net's distance fields.
+
+    `fields` is (net size, canonical sample size); each sample point goes
+    to its nearest net point, ties to the lowest index.
+    """
+    weights = np.zeros(len(fields))
+    np.add.at(weights, np.argmin(fields, axis=0),
+              manifold.sample_weights(manifold.sample_points()))
+    return weights, float(fields.min(axis=0).max())
 
 
 def voronoi_weights(manifold, net):
     """Cell masses |A_i| of the nearest-point partition induced by the net."""
-    return _voronoi(manifold, net.points)[0]
+    fields = manifold.distance_between(net.points, manifold.sample_points())
+    return _voronoi(manifold, fields)[0]
 
 
 def replicate_net(net, lam):
@@ -192,11 +165,7 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
 def evaluate_map(emap, points):
     """Image vectors of the map, one row per input point."""
     if emap.kind == "kuratowski":
-        man = emap.manifold
-        if isinstance(man, TriMesh):
-            fields = _mesh_net_fields(man, emap.net_points)
-            return fields[:, np.asarray(points, dtype=int)].T
-        return man.distance_between(np.atleast_2d(points), emap.net_points)
+        return emap.manifold.distance_between(emap.net_points, points).T
     if emap.kind == "F":
         sp = emap.evaluator.spectrum
         lam = sp.eigenvalues[1:emap.eigencount + 1]
@@ -331,9 +300,7 @@ class EmbeddingReport:
 
 
 def default_h_near(manifold):
-    if isinstance(manifold, TriMesh):
-        return 4.0 * manifold.mean_edge_length()
-    return _resolution(manifold) * 4.0
+    return 4.0 * manifold.resolution()
 
 
 def default_h_far(manifold):
@@ -395,15 +362,10 @@ def continuous_dilatation(ev, p, t):
     sp = ev.spectrum
     n = sp.dim
     man = ev.manifold
-    frame = sp.tangent_frame(p)
-    if sp.vectors is not None:
-        Q = man.sample_points()
-        wq = man.masses
-        gradp = sp.gradients(np.array([p]))[0][: ev.n_trunc + 1]
-    else:
-        Q = man.sample_points()
-        wq = man.sample_weights(Q)
-        gradp = sp.gradients(np.atleast_2d(p))[0][: ev.n_trunc + 1]
+    frame = man.tangent_frame(p)
+    Q = man.sample_points()
+    wq = man.sample_weights(Q)
+    gradp = sp.gradients(ev._points(p)[0])[0][: ev.n_trunc + 1]
     vq = sp.values(Q)[:, : ev.n_trunc + 1]
     w = ev.weights(t)
     scale = map_scale("H", n, t)

@@ -87,18 +87,14 @@ class HeatEvaluator:
         """Quadrature of K_N(p,t;.) against the volume measure."""
         man = self.manifold
         Q = man.sample_points()
-        wq = man.masses if self.spectrum.vectors is not None \
-            else man.sample_weights(Q)
         row = self.kernel_matrix(self._points(p)[0], t, Q)
-        return float((row @ wq).ravel()[0])
+        return float((row @ man.sample_weights(Q)).ravel()[0])
 
 
-def heat_kernel(ev, p, t, q):
-    return ev.kernel(p, t, q)
-
-
-def heat_gradient(ev, p, t, q):
-    return ev.gradient(p, t, q)
+def _pair_distance(ev, p, q):
+    """Geodesic distance between two single points."""
+    return float(ev.manifold.distance_between(ev._points(p)[0],
+                                              ev._points(q)[0])[0, 0])
 
 
 def heat_trace(spectrum, t, bounds=None):
@@ -184,13 +180,9 @@ def decay_check(ev, bounds, pairs, ts, grad_const=None):
     if grad_const is None:
         grad_const = 2.0 ** bounds.dim
     r_h = bounds.require_harmonic_radius()
-    man = ev.manifold
     rows = []
     for (p, q) in pairs:
-        if ev.spectrum.vectors is not None:
-            d = float(man.graph_distance_from(p)[int(q)])
-        else:
-            d = float(man.distance(np.atleast_2d(p), np.atleast_2d(q))[0])
+        d = _pair_distance(ev, p, q)
         for t in ts:
             value = ev.kernel(p, t, q)
             bound = decay_value_bound(d, t, bounds)
@@ -255,13 +247,9 @@ def varadhan_check(ev, pairs, t_grids=None, bounds=None, trunc_eps=1e-12):
     is verified so the truncated kernel stands in for the full one.
     Underflowing times are dropped from the fit with a warning.
     """
-    man = ev.manifold
     rows = []
     for i, (p, q) in enumerate(pairs):
-        if ev.spectrum.vectors is not None:
-            d = float(man.graph_distance_from(p)[int(q)])
-        else:
-            d = float(man.distance(np.atleast_2d(p), np.atleast_2d(q))[0])
+        d = _pair_distance(ev, p, q)
         ts = t_grids[i] if t_grids is not None else varadhan_time_grid(d)
         if bounds is not None:
             needed = truncation_index(ev.spectrum, min(ts), trunc_eps, bounds)

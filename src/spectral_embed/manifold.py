@@ -141,10 +141,52 @@ class TriMesh:
             self._edges = np.unique(e, axis=0)
         return self._edges
 
+    def edge_adjacency(self):
+        """The two triangles across each undirected edge.
+
+        Returns ``(edges, faces, opposite)``: the (E, 2) edges with i < j in
+        the order of :meth:`edges`, and (E, 2) arrays of the two incident
+        faces and of their corners opposite the edge.
+        """
+        nv = len(self.vertices)
+        f = self.faces
+        tri_e = np.concatenate([f[:, [1, 2]], f[:, [2, 0]], f[:, [0, 1]]])
+        tri_e.sort(axis=1)
+        order = np.argsort(tri_e[:, 0] * nv + tri_e[:, 1], kind="stable")
+        faces = np.tile(np.arange(len(f)), 3)[order].reshape(-1, 2)
+        opposite = f.T.ravel()[order].reshape(-1, 2)  # closed: 2 per edge
+        return tri_e[order][::2], faces, opposite
+
     def mean_edge_length(self):
         e = self.edges()
         d = self.wrap(self.vertices[e[:, 1]] - self.vertices[e[:, 0]])
         return float(np.linalg.norm(d, axis=1).mean())
+
+    def resolution(self):
+        """Discretization scale: the mean edge length."""
+        return self.mean_edge_length()
+
+    def face_gradients(self, values):
+        """Per-triangle gradients of vertex fields as ambient vectors.
+
+        `values` is (V,) or (V, K); the result is (F, 3) or (F, K, 3).
+        Not cached: a cache here would keep per-face arrays alive as long
+        as the mesh, which dominates peak memory on large grids.
+        """
+        e1, e2 = self.corner_vectors()
+        normals = np.cross(e1, e2)
+        dbl_area = np.linalg.norm(normals, axis=1, keepdims=True)
+        normals = normals / dbl_area
+        # rotated opposite-edge vectors: grad f = sum_c f_c (n x e_opp_c)/(2A)
+        corners = np.stack([np.zeros_like(e1), e1, e2], axis=1)
+        values = np.asarray(values)
+        shape = (len(self.faces),) + (1,) * (values.ndim - 1) + (3,)
+        grads = np.zeros((len(self.faces),) + values.shape[1:] + (3,))
+        for c in range(3):
+            e_opp = corners[:, (c + 2) % 3] - corners[:, (c + 1) % 3]
+            gvec = np.cross(normals, e_opp) / dbl_area
+            grads += values[self.faces[:, c]][..., None] * gvec.reshape(shape)
+        return grads
 
     # -- tangent frames -----------------------------------------------------
 
@@ -205,20 +247,9 @@ class TriMesh:
         if self._graph is not None:
             return self._graph
         nv = len(self.vertices)
-        e = self.edges()
+        e, _, opp = self.edge_adjacency()
         w = np.linalg.norm(self.wrap(self.vertices[e[:, 1]]
                                      - self.vertices[e[:, 0]]), axis=1)
-
-        # opposite vertices across each undirected edge, via sorted edge keys
-        f = self.faces
-        tri_e = np.concatenate([f[:, [1, 2]], f[:, [2, 0]], f[:, [0, 1]]])
-        tri_o = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
-        tri_e.sort(axis=1)
-        tri_key = tri_e[:, 0] * nv + tri_e[:, 1]
-        order = np.argsort(tri_key, kind="stable")
-        opp = tri_o[order].reshape(-1, 2)  # closed mesh: exactly 2 per edge
-        e_sorted_key = e[:, 0] * nv + e[:, 1]
-        assert np.array_equal(np.sort(tri_key), np.repeat(e_sorted_key, 2))
 
         a, b = e[:, 0], e[:, 1]
         c, d = opp[:, 0], opp[:, 1]
@@ -262,19 +293,30 @@ class TriMesh:
         """Distance field from the reference geometry, when available."""
         if self.reference is None:
             raise ValueError("mesh has no reference geometry for exact distances")
-        return self.reference.distance_between(
-            self.reference.mesh_points(self)[int(source)][None, :],
-            self.reference.mesh_points(self)).ravel()
+        P = self.reference.mesh_points(self)
+        return self.reference.distance_from(P[int(source)], P)
 
-    def distance_from(self, source, method="graph"):
-        if method == "graph":
-            return self.graph_distance_from(source)
-        if method == "exact":
-            return self.exact_distance_from(source)
-        raise ValueError(f"unknown distance method {method!r}")
+    # -- point-set protocol shared with the analytic backends -------------
+    # Points are vertex indices; the canonical sample is every vertex.
+
+    def distance_from(self, source):
+        return self.graph_distance_from(source)
+
+    def distance_between(self, P, Q):
+        """Graph distances, (len(P), len(Q)), from one multi-source search."""
+        fields = csgraph.dijkstra(self._distance_graph(), directed=False,
+                                  indices=np.atleast_1d(np.asarray(P, int)))
+        return fields[:, np.asarray(Q, dtype=int)]
 
     def sample_points(self):
         return np.arange(len(self.vertices))
+
+    def sample_weights(self, P):
+        """Lumped vertex masses."""
+        return self.masses[np.asarray(P, dtype=int)]
+
+    def tangent_frame(self, p):
+        return self.tangent_frames()[int(p)]
 
     def diameter_estimate(self):
         field = self.graph_distance_from(0)
@@ -380,8 +422,7 @@ def make_sphere(radius, subdivisions):
     """Icosphere: subdivided icosahedron with vertices projected to `radius`."""
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    reference = Sphere(radius)  # validates the radius
     verts = [v for v in _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])]
     faces = _ICO_FACES
     for _ in range(subdivisions):
@@ -403,7 +444,7 @@ def make_sphere(radius, subdivisions):
         faces = np.array(new_faces, dtype=np.int64)
     vertices = np.array(verts)
     vertices *= radius / np.linalg.norm(vertices, axis=1, keepdims=True)
-    return TriMesh(vertices, faces, reference=Sphere(radius))
+    return TriMesh(vertices, faces, reference=reference)
 
 
 def make_torus_mesh(periods, divisions):
@@ -413,8 +454,7 @@ def make_torus_mesh(periods, divisions):
     the resulting mesh is the classical 5-point stencil.
     """
     (a1, a2), (n1, n2) = periods, divisions
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("periods must be positive")
+    reference = FlatTorus((a1, a2))  # validates the periods
     ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     vertices = np.column_stack([
         (ii.ravel() * a1) / n1, (jj.ravel() * a2) / n2, np.zeros(n1 * n2)])
@@ -427,7 +467,7 @@ def make_torus_mesh(periods, divisions):
     faces = np.concatenate([np.column_stack([v00, v10, v11]),
                             np.column_stack([v00, v11, v01])])
     return TriMesh(vertices, faces.astype(np.int64),
-                   period=(a1, a2, 0.0), reference=FlatTorus((a1, a2)))
+                   period=(a1, a2, 0.0), reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -460,95 +500,9 @@ class AnalyticManifold:
         """Quadrature weights of a canonical sample (uniform by default)."""
         return np.full(len(P), self.volume / len(P))
 
-
-class Circle(AnalyticManifold):
-    """Circle of circumference L; points are arclength coordinates (m, 1)."""
-
-    kind = "circle"
-
-    def __init__(self, length, samples=2048):
-        if length <= 0:
-            raise ValueError("circumference must be positive")
-        self.length = float(length)
-        self.dim = 1
-        self.volume = self.length
-        self.samples = samples
-
-    def diameter(self):
-        return self.length / 2.0
-
-    def sample_points(self, m=None):
-        m = m or self.samples
-        return (np.arange(m) * (self.length / m))[:, None]
-
-    def distance_between(self, P, Q):
-        d = np.abs(np.atleast_2d(P)[:, None, 0] - np.atleast_2d(Q)[None, :, 0])
-        d %= self.length
-        return np.minimum(d, self.length - d)
-
-    def tangent_frame(self, p):
-        return np.array([[1.0]])
-
-    def exp(self, p, v):
-        return (np.atleast_2d(p) + np.atleast_2d(v)) % self.length
-
-    def eigen_count_below(self, lam_max):
-        j = int(np.floor(np.sqrt(lam_max) * self.length / (2 * np.pi)))
-        return 1 + 2 * j
-
-    def eigenbasis(self, count):
-        lams, labels = [0.0], [(0, "const")]
-        j = 1
-        while len(lams) < count:
-            lam = (2 * np.pi * j / self.length) ** 2
-            lams += [lam, lam]
-            labels += [(j, "cos"), (j, "sin")]
-            j += 1
-        return _CircleBasis(self, np.array(lams[:count]), labels[:count])
-
-
-class _CircleBasis:
-    def __init__(self, circle, lams, labels):
-        self.manifold = circle
-        self.eigenvalues = lams
-        self.labels = labels
-
-    def values(self, P):
-        x = np.atleast_2d(P)[:, 0]
-        L = self.manifold.length
-        out = np.empty((len(x), len(self.labels)))
-        for k, (j, trig) in enumerate(self.labels):
-            if trig == "const":
-                out[:, k] = 1.0 / np.sqrt(L)
-            else:
-                f = np.cos if trig == "cos" else np.sin
-                out[:, k] = np.sqrt(2.0 / L) * f(2 * np.pi * j * x / L)
-        return out
-
-    def gradients(self, P):
-        x = np.atleast_2d(P)[:, 0]
-        L = self.manifold.length
-        out = np.zeros((len(x), len(self.labels), 1))
-        for k, (j, trig) in enumerate(self.labels):
-            if trig == "const":
-                continue
-            w = 2 * np.pi * j / L
-            if trig == "cos":
-                out[:, k, 0] = -np.sqrt(2.0 / L) * w * np.sin(w * x)
-            else:
-                out[:, k, 0] = np.sqrt(2.0 / L) * w * np.cos(w * x)
-        return out
-
-    def sup_norms(self):
-        L = self.manifold.length
-        return np.array([1.0 / np.sqrt(L) if trig == "const"
-                         else np.sqrt(2.0 / L) for _, trig in self.labels])
-
-    def grad_sup_norms(self):
-        L = self.manifold.length
-        return np.array([0.0 if trig == "const"
-                         else np.sqrt(2.0 / L) * 2 * np.pi * j / L
-                         for j, trig in self.labels])
+    def resolution(self):
+        """Spacing of the canonical sample, (volume / samples)^(1/dim)."""
+        return (self.volume / len(self.sample_points())) ** (1.0 / self.dim)
 
 
 class FlatTorus(AnalyticManifold):
@@ -558,8 +512,8 @@ class FlatTorus(AnalyticManifold):
 
     def __init__(self, periods, samples=4096):
         self.periods = np.asarray(periods, dtype=float)
-        if np.any(self.periods <= 0):
-            raise ValueError("periods must be positive")
+        if not np.all(np.isfinite(self.periods)) or np.any(self.periods <= 0):
+            raise ValueError("periods must be positive and finite")
         self.dim = len(self.periods)
         self.volume = float(np.prod(self.periods))
         self.samples = samples
@@ -632,6 +586,18 @@ class FlatTorus(AnalyticManifold):
                            [labels[i] for i in order])
 
 
+class Circle(FlatTorus):
+    """Circle of circumference L: the flat torus with periods (L,)."""
+
+    kind = "circle"
+
+    def __init__(self, length, samples=2048):
+        super().__init__((length,), samples=samples)
+
+    # bound in this class too, so per-class profiling sees circle queries
+    distance_between = FlatTorus.distance_between
+
+
 class _TorusBasis:
     def __init__(self, torus, lams, labels):
         self.manifold = torus
@@ -690,8 +656,8 @@ class Sphere(AnalyticManifold):
     kind = "sphere"
 
     def __init__(self, radius, samples=2000):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.dim = 2
         self.volume = 4 * np.pi * radius ** 2
@@ -833,18 +799,6 @@ def make_analytic(kind, **params):
     if kind == "torus":
         return FlatTorus(params["periods"])
     raise ValueError(f"unknown analytic manifold kind {kind!r}")
-
-
-def geodesic_distance(manifold, source, method="graph"):
-    """Distance field from a source point.
-
-    For meshes the field is over all vertices (Dijkstra on the shortcut
-    graph, or exact reference geometry with ``method='exact'``).  Analytic
-    backends return exact distances over their canonical sample.
-    """
-    if isinstance(manifold, TriMesh):
-        return manifold.distance_from(source, method=method)
-    return manifold.distance_from(source)
 
 
 def export_distance_field(field, path):

@@ -203,21 +203,6 @@ def constants_sweep(n, lam, iota, radii, form="exact"):
 # Mesh experiments
 # ---------------------------------------------------------------------------
 
-def face_gradients(mesh, values):
-    """Per-triangle gradients of a vertex field, (F, 3) ambient vectors."""
-    e1, e2 = mesh.corner_vectors()
-    normals = np.cross(e1, e2)
-    dbl_area = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / dbl_area
-    corners = np.stack([np.zeros_like(e1), e1, e2], axis=1)
-    grads = np.zeros((len(mesh.faces), 3))
-    for c in range(3):
-        e_opp = corners[:, (c + 2) % 3] - corners[:, (c + 1) % 3]
-        gvec = np.cross(normals, e_opp) / dbl_area
-        grads += values[mesh.faces[:, c]][:, None] * gvec
-    return grads
-
-
 def frame_points(mesh, base, distance):
     """Points at the given geodesic distance from `base` along the frame.
 
@@ -229,7 +214,7 @@ def frame_points(mesh, base, distance):
     ref = mesh.reference
     P = ref.mesh_points(mesh)
     p = P[int(base)]
-    frame = mesh.tangent_frames()[int(base)]
+    frame = mesh.tangent_frame(base)
     pts = []
     for e in frame:
         tangent = e[: P.shape[1]] if P.shape[1] < 3 else e
@@ -261,7 +246,7 @@ def _ball_faces(mesh, dist_to_base, r):
 
 
 def _gram_fields(mesh, fields, faces):
-    sub = [face_gradients(mesh, f)[faces] for f in fields]
+    sub = [mesh.face_gradients(f)[faces] for f in fields]
     n = len(sub)
     gram = np.empty((len(faces), n, n))
     for i in range(n):
@@ -423,25 +408,15 @@ def laplacian_bound_check(mesh, field, lam, *, slack=0.2, min_distance,
     """
     ops = assemble_laplacian(mesh)
     lap = -(ops.stiffness @ field) / mesh.masses
-    grads = face_gradients(mesh, field)
+    grads = mesh.face_gradients(field)
     gnorm = np.linalg.norm(grads, axis=1, keepdims=True)
     gdir = grads / np.maximum(gnorm, 1e-30)
 
-    nv = len(mesh.vertices)
-    f = mesh.faces
-    tri_e = np.concatenate([f[:, [1, 2]], f[:, [2, 0]], f[:, [0, 1]]])
-    tri_f = np.tile(np.arange(len(f)), 3)
-    tri_e.sort(axis=1)
-    key = tri_e[:, 0] * nv + tri_e[:, 1]
-    order = np.argsort(key, kind="stable")
-    fpairs = tri_f[order].reshape(-1, 2)
-    epairs = tri_e[order][::2]
+    e, fpairs, _ = mesh.edge_adjacency()
     cosang = np.sum(gdir[fpairs[:, 0]] * gdir[fpairs[:, 1]], axis=1)
-    ridge_edges = cosang < math.cos(ridge_angle)
-    ridge = np.zeros(nv, dtype=bool)
-    ridge[epairs[ridge_edges].ravel()] = True
+    ridge = np.zeros(len(mesh.vertices), dtype=bool)
+    ridge[e[cosang < math.cos(ridge_angle)].ravel()] = True
     # grow twice along edges
-    e = mesh.edges()
     for _ in range(2):
         grown = ridge.copy()
         grown[e[:, 0]] |= ridge[e[:, 1]]

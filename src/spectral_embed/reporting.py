@@ -36,6 +36,9 @@ def atomic_write(path, text):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

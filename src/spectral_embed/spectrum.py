@@ -6,6 +6,7 @@ eigenvalue-growth bound, eigenfunction sup bounds and the heat-kernel
 truncation index.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,6 @@ class GeometryBounds:
     """
 
     dim: int
-    kappa: float = 0.0
     iota: float = 1.0
     volume: float = 1.0
     a: float = None
@@ -92,21 +92,20 @@ class GeometryBounds:
 class Spectrum:
     """Ascending eigenvalues with mass-orthonormal eigenfunctions of -Laplace.
 
-    Mesh spectra hold vertex fields; analytic spectra hold closed-form
-    callables.  Immutable after construction.
+    The eigenfunctions are read through `basis`, which answers `values`,
+    `gradients`, `sup_norms` and `grad_sup_norms` at manifold points:
+    vertex fields on meshes (also kept as `vectors`), closed-form callables
+    on analytic manifolds.  Immutable after construction.
     """
 
-    def __init__(self, eigenvalues, manifold, *, vectors=None, basis=None,
-                 operator_pair=None):
+    def __init__(self, eigenvalues, manifold, *, basis, operator_pair=None):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.manifold = manifold
-        self.vectors = vectors
         self.basis = basis
+        self.vectors = getattr(basis, "vectors", None)
         self.operator_pair = operator_pair
         self.dim = manifold.dim
         self.volume = manifold.volume
-        self._vertex_gradients = None
-        self._face_gradients = None
         self._validate()
 
     @property
@@ -130,65 +129,59 @@ class Spectrum:
 
     def values(self, points):
         """Eigenfunction values, shape (len(points), K)."""
-        if self.vectors is not None:
-            return self.vectors[np.asarray(points, dtype=int)]
         return self.basis.values(points)
 
     def gradients(self, points):
         """Eigenfunction gradients as ambient/coordinate vectors, (m, K, d)."""
-        if self.vectors is not None:
-            return self._mesh_vertex_gradients()[np.asarray(points, dtype=int)]
         return self.basis.gradients(points)
 
-    def tangent_frame(self, point):
-        if self.vectors is not None:
-            return self.manifold.tangent_frames()[int(point)]
-        return self.manifold.tangent_frame(point)
-
-    def _mesh_face_gradients(self):
-        """Per-triangle gradients of all eigenfunctions, (F, K, 3)."""
-        if self._face_gradients is None:
-            mesh = self.manifold
-            e1, e2 = mesh.corner_vectors()
-            normals = np.cross(e1, e2)
-            dbl_area = np.linalg.norm(normals, axis=1, keepdims=True)
-            normals = normals / dbl_area
-            # rotated opposite-edge vectors: grad f = sum_c f_c (n x e_opp_c)/(2A)
-            corners = np.stack([np.zeros_like(e1), e1, e2], axis=1)
-            grads = np.zeros((len(mesh.faces), self.count, 3))
-            for c in range(3):
-                e_opp = corners[:, (c + 2) % 3] - corners[:, (c + 1) % 3]
-                gvec = np.cross(normals, e_opp) / dbl_area
-                grads += self.vectors[mesh.faces[:, c]][:, :, None] * gvec[:, None, :]
-            self._face_gradients = grads
-        return self._face_gradients
-
-    def _mesh_vertex_gradients(self):
-        """Area-averaged vertex gradients projected to the tangent plane."""
-        if self._vertex_gradients is None:
-            mesh = self.manifold
-            fg = self._mesh_face_gradients()
-            acc = np.zeros((len(mesh.vertices), self.count, 3))
-            wsum = np.zeros(len(mesh.vertices))
-            w = mesh.face_areas
-            for c in range(3):
-                np.add.at(acc, mesh.faces[:, c], fg * w[:, None, None])
-                np.add.at(wsum, mesh.faces[:, c], w)
-            acc /= wsum[:, None, None]
-            frames = mesh.tangent_frames()  # (V, 2, 3)
-            coeff = np.einsum("vkd,vtd->vkt", acc, frames)
-            self._vertex_gradients = np.einsum("vkt,vtd->vkd", coeff, frames)
-        return self._vertex_gradients
-
     def sup_norms(self):
-        if self.vectors is not None:
-            return np.abs(self.vectors).max(axis=0)
         return self.basis.sup_norms()
 
     def grad_sup_norms(self):
-        if self.vectors is not None:
-            return np.linalg.norm(self._mesh_face_gradients(), axis=2).max(axis=0)
         return self.basis.grad_sup_norms()
+
+
+class _VertexBasis:
+    """Mesh eigenfunctions as vertex fields; points are vertex indices."""
+
+    def __init__(self, mesh, vectors):
+        self.mesh = mesh
+        self.vectors = vectors
+
+    def values(self, P):
+        return self.vectors[np.asarray(P, dtype=int)]
+
+    def gradients(self, P):
+        return self._vertex_gradients[np.asarray(P, dtype=int)]
+
+    def sup_norms(self):
+        return np.abs(self.vectors).max(axis=0)
+
+    def grad_sup_norms(self):
+        return np.linalg.norm(self._face_gradients, axis=2).max(axis=0)
+
+    @functools.cached_property
+    def _face_gradients(self):
+        """Per-triangle gradients of all eigenfunctions, (F, K, 3)."""
+        return self.mesh.face_gradients(self.vectors)
+
+    @functools.cached_property
+    def _vertex_gradients(self):
+        """Area-averaged vertex gradients projected to the tangent plane."""
+        mesh = self.mesh
+        fg = self._face_gradients
+        acc = np.zeros((len(mesh.vertices),) + fg.shape[1:])
+        wsum = np.zeros(len(mesh.vertices))
+        w = mesh.face_areas
+        for c in range(3):
+            np.add.at(acc, mesh.faces[:, c], fg * w[:, None, None])
+            np.add.at(wsum, mesh.faces[:, c], w)
+        acc /= wsum[:, None, None]
+        frames = mesh.tangent_frames()  # (V, 2, 3)
+        coeff = np.einsum("vkd,vtd->vkt", acc, frames)
+        return np.einsum("vkt,vtd->vkd", coeff, frames)
+
 
 def _fix_signs(vectors):
     out = vectors.copy()
@@ -268,7 +261,8 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
 
     lams, vecs = _order_degenerate(lams, _fix_signs(vecs))
     vecs = _fix_signs(vecs)
-    return Spectrum(lams, mesh, vectors=vecs, operator_pair=ops)
+    return Spectrum(lams, mesh, basis=_VertexBasis(mesh, vecs),
+                    operator_pair=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +432,7 @@ def export_spectrum(spectrum, directory):
     reporting.write_csv(os.path.join(directory, "eigenvalues.csv"),
                         ["k", "lambda"],
                         list(enumerate(spectrum.eigenvalues)))
-    if spectrum.vectors is not None:
-        values = spectrum.vectors
-    else:
-        values = spectrum.values(spectrum.manifold.sample_points())
+    values = spectrum.values(spectrum.manifold.sample_points())
     for k in range(spectrum.count):
         reporting.write_csv(
             os.path.join(directory, f"eigenfunction_{k:04d}.csv"),

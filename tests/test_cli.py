@@ -1,5 +1,8 @@
 import os
 import re
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +62,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="bad float"):
             cfg.get_float("list")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_floats_rejected(self, raw):
+        cfg = RunConfig.parse(f"x = {raw}\nlist = 1,{raw}\n")
+        with pytest.raises(ConfigError, match="non-finite"):
+            cfg.get_float("x")
+        with pytest.raises(ConfigError, match="non-finite"):
+            cfg.get_floats("list")
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, tmp_path):
@@ -81,6 +92,28 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path,
                         "manifold.kind = mesh\nmanifold.path = nope.off\n")
         assert main(["spectrum", "--config", cfg]) == 2
+
+    def test_non_finite_periods_exit_promptly(self, tmp_path):
+        # a NaN period once sent the lattice-mode enumeration into a loop
+        cfg = write_cfg(tmp_path, "manifold.kind = torus\n"
+                        "manifold.periods = 1,nan\nspectrum.count = 8\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_embed.cli", "spectrum",
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite" in proc.stderr
+
+    def test_counterexample_rejects_circle(self, tmp_path):
+        cfg = write_cfg(tmp_path, CIRCLE_CFG)
+        out = str(tmp_path / "out")
+        assert main(["verify", "counterexample", "--config", cfg,
+                     "--out", out]) == 2
 
 
 class TestSubcommands:
@@ -245,6 +278,18 @@ class TestExportSurfaces:
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "out")
         assert main(["verify", "decay", "--config", cfg, "--out", out]) == 0
+
+
+def test_reports_follow_umask(tmp_path):
+    from spectral_embed import reporting
+    old = os.umask(0o022)
+    try:
+        reporting.write_report(str(tmp_path / "r.txt"), {"a": 1})
+        reporting.write_csv(str(tmp_path / "t.csv"), ["x"], [(1.5,)])
+    finally:
+        os.umask(old)
+    for name in ("r.txt", "t.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
 
 
 def test_shipped_configs_run(tmp_path):

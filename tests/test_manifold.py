@@ -145,6 +145,72 @@ class TestAnalytic:
         with pytest.raises(ValueError):
             make_analytic("klein_bottle")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("torus", {"periods": (1.0, np.nan)}),
+        ("torus", {"periods": (np.inf, 1.0)}),
+        ("circle", {"length": np.nan}),
+        ("sphere", {"radius": np.inf}),
+        ("sphere", {"radius": np.nan}),
+    ])
+    def test_non_finite_params_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="finite"):
+            make_analytic(kind, **params)
+
+    def test_circle_is_one_dimensional_torus(self):
+        circle = Circle(2 * np.pi)
+        torus = FlatTorus((2 * np.pi,), samples=circle.samples)
+        assert isinstance(circle, FlatTorus)
+        assert np.array_equal(circle.sample_points(), torus.sample_points())
+        a, b = circle.eigenbasis(41), torus.eigenbasis(41)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        P = circle.sample_points(257)
+        assert np.abs(a.values(P) - b.values(P)).max() < 1e-12
+        assert np.abs(a.gradients(P) - b.gradients(P)).max() < 1e-12
+        assert np.abs(a.sup_norms() - b.sup_norms()).max() < 1e-12
+        assert np.abs(a.grad_sup_norms() - b.grad_sup_norms()).max() < 1e-12
+        assert circle.diameter() == torus.diameter() == np.pi
+
+
+_PROTOCOL_BACKENDS = {
+    "icosphere2": lambda: make_sphere(1.0, 2),
+    "sphere": lambda: make_analytic("sphere", radius=1.3),
+    "torus": lambda: make_analytic("torus", periods=(2.0, 3.0)),
+    "circle": lambda: Circle(5.0),
+}
+
+
+class TestPointSetProtocol:
+    """Meshes and closed-form backends answer the same point-set calls."""
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL_BACKENDS))
+    def test_distances_and_weights(self, name):
+        man = _PROTOCOL_BACKENDS[name]()
+        samples = man.sample_points()
+        P = samples[[0, 7, 31]]
+        rows = man.distance_between(P, samples)
+        assert rows.shape == (3, len(samples))
+        for p, row in zip(P, rows):
+            assert np.allclose(row, man.distance_from(p), rtol=0, atol=1e-12)
+        weights = man.sample_weights(samples)
+        assert weights.sum() == pytest.approx(man.volume, rel=1e-10)
+        assert man.tangent_frame(P[1]).shape[0] == man.dim
+        assert man.resolution() > 0
+
+    def test_mesh_distance_between_is_stacked_dijkstra(self):
+        mesh = make_sphere(1.0, 2)
+        P, Q = np.array([3, 0, 41, 3]), np.array([5, 9, 0, 100, 2])
+        stacked = np.stack([mesh.graph_distance_from(p) for p in P])
+        assert np.array_equal(mesh.distance_between(P, Q), stacked[:, Q])
+        assert np.array_equal(mesh.distance_from(41), stacked[2])
+
+    def test_mesh_edge_adjacency(self):
+        mesh = make_sphere(1.0, 1)
+        edges, faces, opposite = mesh.edge_adjacency()
+        assert np.array_equal(edges, mesh.edges())
+        for (i, j), fpair, opair in zip(edges, faces, opposite):
+            for f, o in zip(fpair, opair):
+                assert sorted(mesh.faces[f]) == sorted([i, j, o])
+
 
 class TestGeodesics:
     def test_circle_antipodal(self):

@@ -7,7 +7,7 @@ from spectral_embed.manifold import make_sphere, make_torus_mesh
 from spectral_embed.radius import (
     abresch_gromoll, ball_volume_profile, bishop_gromov_ratios,
     constants_sweep, coordinate_radius, distance_coordinates_experiment,
-    face_gradients, harmonic_coordinates_experiment, hessian_bound,
+    harmonic_coordinates_experiment, hessian_bound,
     holder_constant, laplacian_bound_check, model_ball_lower_bound,
     model_volumes, segment_constant, solid_angle)
 
@@ -210,7 +210,7 @@ class TestMeshExperiments:
         # function x is single-valued only off the periodic seam, so only
         # non-straddling faces are compared
         values = 2.0 * torus_mesh.vertices[:, 0]
-        g = face_gradients(torus_mesh, values)
+        g = torus_mesh.face_gradients(values)
         corners = torus_mesh.vertices[torus_mesh.faces]
         spans = corners.max(axis=1) - corners.min(axis=1)
         inner = (spans[:, 0] < 1.0) & (spans[:, 1] < 1.0)

@@ -66,6 +66,20 @@ class TestComputeSpectrum:
             idx = np.nonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0][0]
             assert col[idx] > 0
 
+    def test_mesh_values_are_vertex_fields(self, sphere_mesh_spec):
+        spec = sphere_mesh_spec
+        nv = len(spec.manifold.vertices)
+        assert np.array_equal(spec.values(np.arange(nv)), spec.vectors)
+        assert np.array_equal(spec.basis.vectors, spec.vectors)
+
+    def test_mesh_grad_sup_norms_match_single_fields(self, sphere_mesh_spec):
+        # the batched (V, K) gradient path sums in the same order as (V,)
+        spec = sphere_mesh_spec
+        mesh = spec.manifold
+        single = [np.linalg.norm(mesh.face_gradients(spec.vectors[:, k]),
+                                 axis=1).max() for k in range(spec.count)]
+        assert np.array_equal(spec.grad_sup_norms(), single)
+
     def test_constant_mode(self, sphere_mesh_spec):
         phi0 = sphere_mesh_spec.vectors[:, 0]
         assert np.allclose(np.abs(phi0),
