@@ -19,9 +19,10 @@ from .spectrum import (GeometryBounds, compute_spectrum, eigen_growth_check,
                        truncation_index, export_spectrum, TruncationError)
 from .heat import (HeatEvaluator, decay_check, varadhan_check,
                    varadhan_time_grid, export_decay, export_varadhan)
-from .embed import (build_net, make_map, evaluate_map, image_distance,
-                    dilatation_report, injectivity_report, scan_embedding,
-                    default_h_near, default_h_far, export_embedding)
+from .embed import (MAP_KINDS, build_net, make_map, evaluate_map,
+                    image_distance, dilatation_report, injectivity_report,
+                    scan_embedding, default_h_near, default_h_far,
+                    export_embedding)
 from . import charts as charts_mod
 from .radius import constants_sweep
 
@@ -242,16 +243,21 @@ def cmd_charts(cfg, outdir, seed, scan):
 
 
 def _embedding_setup(cfg, seed):
-    man = build_manifold(cfg)
     kind = cfg.get("embed.map", "H")
+    if kind not in MAP_KINDS:
+        raise ConfigError(f"unknown embed.map {kind!r}; expected one of "
+                          f"{list(MAP_KINDS)}")
+    delta = None
+    if kind in ("G", "H", "kuratowski"):
+        delta = cfg.get_float("embed.delta")
+        if delta <= 0:
+            raise ConfigError(f"embed.delta must be positive, got {delta!r}")
+    man = build_manifold(cfg)
     count = cfg.get_int("spectrum.count", 64)
     spec = compute_spectrum(man, count)
     n_trunc = cfg.get_int("embed.n", count - 1)
     ev = HeatEvaluator(spec, n_trunc)
-    net = None
-    if kind in ("G", "H", "kuratowski"):
-        delta = cfg.get_float("embed.delta")
-        net = build_net(man, delta)
+    net = build_net(man, delta) if delta is not None else None
     eigencount = cfg.get_int("embed.eigencount", 3) if kind == "F" else None
     return man, ev, net, kind, eigencount
 

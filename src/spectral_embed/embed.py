@@ -162,19 +162,45 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
                         manifold=man, eigencount=eigencount)
 
 
-def evaluate_map(emap, points):
-    """Image vectors of the map, one row per input point."""
+def map_features(emap, points):
+    """The part of the map at `points` that does not depend on t.
+
+    Distances to the net points for ``kuratowski``; eigenfunction values
+    for the heat-kernel maps (phi_1 .. phi_m for ``F``, phi_0 .. phi_N for
+    ``G`` and ``H``, which also need them at the net points).
+    """
     if emap.kind == "kuratowski":
         return emap.manifold.distance_between(emap.net_points, points).T
     if emap.kind == "F":
         sp = emap.evaluator.spectrum
-        lam = sp.eigenvalues[1:emap.eigencount + 1]
-        vals = sp.values(points)[:, 1:emap.eigencount + 1]
-        return emap.scale * np.exp(-lam * emap.t) * vals
-    kernels = emap.evaluator.kernel_matrix(points, emap.t, emap.net_points)
+        return sp.values(points)[:, 1:emap.eigencount + 1]
+    return emap.evaluator.truncated_values(points)
+
+
+def map_image(emap, features, net_features):
+    """Image vectors from `map_features` at the points (and, for ``G`` and
+    ``H``, at the net points): the reweighting by e^(-lambda t)."""
+    if emap.kind == "kuratowski":
+        return features
+    if emap.kind == "F":
+        lam = emap.evaluator.spectrum.eigenvalues[1:emap.eigencount + 1]
+        return emap.scale * np.exp(-lam * emap.t) * features
+    kernels = emap.evaluator.kernel_from_values(features, emap.t,
+                                                net_features)
     if emap.kind == "H":
         kernels = kernels * emap.component_weights
     return emap.scale * kernels
+
+
+def _net_features(emap):
+    if emap.kind in ("G", "H"):
+        return map_features(emap, emap.net_points)
+    return None
+
+
+def evaluate_map(emap, points):
+    """Image vectors of the map, one row per input point."""
+    return map_image(emap, map_features(emap, points), _net_features(emap))
 
 
 def image_distance(emap, fx, fy):
@@ -248,18 +274,23 @@ def sample_far_pairs(manifold, h_far, count, rng):
         return (np.asarray(xs)[idx], np.asarray(ys)[idx], np.asarray(ds)[idx])
     P = manifold.sample_points()
     xs, ys, ds = [], [], []
-    tries = 0
-    while len(xs) < count and tries < 50 * count:
-        i, j = rng.integers(0, len(P), size=2)
-        d = manifold.distance(P[i:i + 1], P[j:j + 1])[0]
-        tries += 1
-        if d >= h_far:
-            xs.append(P[i])
-            ys.append(P[j])
-            ds.append(d)
-    if not xs:
+    kept = tries = 0
+    # Each round draws as many index pairs as are still missing, so the
+    # pairs kept and the try that ends the search are those of drawing one
+    # pair at a time.
+    while kept < count and tries < 50 * count:
+        draws = min(count - kept, 50 * count - tries)
+        ij = rng.integers(0, len(P), size=(draws, 2))
+        tries += len(ij)
+        d = manifold.distance(P[ij[:, 0]], P[ij[:, 1]])
+        far = d >= h_far
+        xs.append(P[ij[far, 0]])
+        ys.append(P[ij[far, 1]])
+        ds.append(d[far])
+        kept += int(far.sum())
+    if not kept:
         raise ValueError("no pairs beyond h_far")
-    return np.vstack(xs), np.vstack(ys), np.asarray(ds)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +340,44 @@ def default_h_far(manifold):
     return manifold.diameter() / 8.0
 
 
+def _near_pairs(manifold, h_near, pairs, count, seed):
+    """The given `pairs`, or `count` pairs within h_near drawn with `seed`.
+
+    h_near is checked first, so a bad value fails before any sampling.
+    """
+    if h_near <= 0:
+        raise ValueError("h_near must be positive")
+    if isinstance(manifold, TriMesh) and h_near < 3 * manifold.mean_edge_length():
+        raise ValueError("h_near below 3 mesh edge lengths: difference "
+                         "quotients would be dominated by graph error")
+    if pairs is not None:
+        return pairs
+    return sample_near_pairs(manifold, h_near, count,
+                             np.random.default_rng(seed))
+
+
+def _far_pairs(manifold, h_far, pairs, count, seed):
+    """The given `pairs`, or `count` pairs beyond h_far drawn with `seed`."""
+    if h_far <= 0:
+        raise ValueError("h_far must be positive")
+    if pairs is not None:
+        return pairs
+    return sample_far_pairs(manifold, h_far, count,
+                            np.random.default_rng(seed))
+
+
+def _dilatation(emap, fx, fy, ds, h_near):
+    ratios = image_distance(emap, fx, fy) / ds
+    return EmbeddingReport(emap.kind, ratios, ds, float(h_near), emap.t,
+                           {"norm": emap.norm, "m": emap.ambient_dim()})
+
+
+def _injectivity(emap, fx, fy, ds, h_far):
+    seps = image_distance(emap, fx, fy)
+    return {"margin": float(seps.min()), "pairs": len(seps),
+            "h_far": float(h_far), "min_distance": float(np.min(ds))}
+
+
 def dilatation_report(emap, manifold, h_near, *, pairs=None, count=400,
                       seed=0):
     """Difference-quotient dilatation over near pairs.
@@ -316,39 +385,18 @@ def dilatation_report(emap, manifold, h_near, *, pairs=None, count=400,
     The stored scale already carries the normalizing constant, so a
     near-isometry shows ratios inside [1-eps, 1+eps] directly.
     """
-    if h_near <= 0:
-        raise ValueError("h_near must be positive")
-    if isinstance(manifold, TriMesh) and h_near < 3 * manifold.mean_edge_length():
-        raise ValueError("h_near below 3 mesh edge lengths: difference "
-                         "quotients would be dominated by graph error")
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        xs, ys, ds = sample_near_pairs(manifold, h_near, count, rng)
-    else:
-        xs, ys, ds = pairs
-    fx = evaluate_map(emap, xs)
-    fy = evaluate_map(emap, ys)
-    ratios = image_distance(emap, fx, fy) / ds
-    return EmbeddingReport(emap.kind, ratios, ds, float(h_near), emap.t,
-                           {"norm": emap.norm, "m": emap.ambient_dim()})
+    xs, ys, ds = _near_pairs(manifold, h_near, pairs, count, seed)
+    return _dilatation(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
+                       ds, h_near)
 
 
 def injectivity_report(emap, manifold, h_far, *, pairs=None, count=400,
                        seed=0):
     """Minimal image separation over far pairs; positive margin certifies
     injectivity at the sample resolution."""
-    if h_far <= 0:
-        raise ValueError("h_far must be positive")
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        xs, ys, ds = sample_far_pairs(manifold, h_far, count, rng)
-    else:
-        xs, ys, ds = pairs
-    fx = evaluate_map(emap, xs)
-    fy = evaluate_map(emap, ys)
-    seps = image_distance(emap, fx, fy)
-    return {"margin": float(seps.min()), "pairs": len(seps),
-            "h_far": float(h_far), "min_distance": float(np.min(ds))}
+    xs, ys, ds = _far_pairs(manifold, h_far, pairs, count, seed)
+    return _injectivity(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
+                        ds, h_far)
 
 
 def continuous_dilatation(ev, p, t):
@@ -384,19 +432,30 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
     """Evaluate the map over a geometric t-grid and pick the best time.
 
     A suitable small t is known to exist but not constructively; the scan
-    substitutes for the missing constants.
+    substitutes for the missing constants.  The near and far pairs are
+    drawn once with `seed`, and the map's t-independent `map_features` at
+    them are computed once; each level only reweights them, so it reports
+    what `dilatation_report` and `injectivity_report` give at its t.
     """
+    if levels < 1:
+        raise ValueError("a scan needs at least one level")
     man = manifold if manifold is not None else evaluator.manifold
     h_near = default_h_near(man) if h_near is None else h_near
     h_far = default_h_far(man) if h_far is None else h_far
+    ts = [t_max * 2.0 ** (-j) for j in range(levels)]
+    emaps = [make_map(kind, evaluator=evaluator, net=net, manifold=man, t=t,
+                      eigencount=eigencount) for t in ts]
+    near = _near_pairs(man, h_near, None, count, seed)
+    far = _far_pairs(man, h_far, None, count, seed)
+    features = [map_features(emaps[0], p)
+                for p in (near[0], near[1], far[0], far[1])]
+    net_features = _net_features(emaps[0])
     results = []
-    for j in range(levels):
-        t = t_max * 2.0 ** (-j)
-        emap = make_map(kind, evaluator=evaluator, net=net, manifold=man,
-                        t=t, eigencount=eigencount)
-        rep = dilatation_report(emap, man, h_near, count=count, seed=seed)
-        inj = injectivity_report(emap, man, h_far, count=count, seed=seed)
-        results.append({"t": t, "report": rep, "injectivity": inj})
+    for t, emap in zip(ts, emaps):
+        nx, ny, fx, fy = (map_image(emap, f, net_features) for f in features)
+        results.append({
+            "t": t, "report": _dilatation(emap, nx, ny, near[2], h_near),
+            "injectivity": _injectivity(emap, fx, fy, far[2], h_far)})
     best = min(results,
                key=lambda r: max(abs(r["report"].dil_max - 1.0),
                                  abs(1.0 - r["report"].dil_min)))

@@ -38,19 +38,30 @@ class HeatEvaluator:
         lam = self.spectrum.eigenvalues[: self.n_trunc + 1]
         return np.exp(-lam * np.asarray(t, dtype=float))
 
+    def truncated_values(self, P):
+        """phi_0 .. phi_N at a point batch, (len(P), N + 1); t-independent."""
+        return self.spectrum.values(self._points(P)[0])[:, : self.n_trunc + 1]
+
     def kernel(self, p, t, q):
         """K_N between matched point batches (or single points)."""
         P, sp = self._points(p)
         Q, sq = self._points(q)
-        vp = self.spectrum.values(P)[:, : self.n_trunc + 1]
-        vq = self.spectrum.values(Q)[:, : self.n_trunc + 1]
+        vp = self.truncated_values(P)
+        vq = self.truncated_values(Q)
         out = np.sum(self.weights(t) * vp * vq, axis=1)
         return float(out[0]) if (sp and sq) else out
 
     def kernel_matrix(self, P, t, Q):
         """K_N on a product grid, (len(P), len(Q))."""
-        vp = self.spectrum.values(self._points(P)[0])[:, : self.n_trunc + 1]
-        vq = self.spectrum.values(self._points(Q)[0])[:, : self.n_trunc + 1]
+        return self.kernel_from_values(self.truncated_values(P), t,
+                                       self.truncated_values(Q))
+
+    def kernel_from_values(self, vp, t, vq):
+        """K_N on a product grid from `truncated_values` at both point sets.
+
+        Only the weights e^(-lambda t) depend on t, so a caller that varies
+        t evaluates the basis once and reweights here.
+        """
         return (vp * self.weights(t)) @ vq.T
 
     def gradient(self, p, t, q):
@@ -58,7 +69,7 @@ class HeatEvaluator:
         P, sp = self._points(p)
         Q, sq = self._points(q)
         gp = self.spectrum.gradients(P)[:, : self.n_trunc + 1]
-        vq = self.spectrum.values(Q)[:, : self.n_trunc + 1]
+        vq = self.truncated_values(Q)
         out = np.einsum("k,pkd,pk->pd", self.weights(t), gp, vq)
         return out[0] if (sp and sq) else out
 
@@ -72,8 +83,8 @@ class HeatEvaluator:
         """
         P, _ = self._points(p)
         Q, _ = self._points(q)
-        vp = self.spectrum.values(P)[:, : self.n_trunc + 1]
-        vq = self.spectrum.values(Q)[:, : self.n_trunc + 1]
+        vp = self.truncated_values(P)
+        vq = self.truncated_values(Q)
         gp = self.spectrum.gradients(P)[:, : self.n_trunc + 1]
         w = self.weights(t)
         kpp = float(np.sum(w * vp * vp, axis=1)[0])

@@ -5,6 +5,7 @@ Meshes carry a cotangent Laplace-Beltrami discretization with lumped
 expose exact geodesic distance, volume, and eigenpairs in closed form.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -485,11 +486,11 @@ class AnalyticManifold:
 
     def distance(self, P, Q):
         """Elementwise geodesic distance between matched point arrays."""
-        P, Q = np.atleast_2d(P), np.atleast_2d(Q)
-        out = np.empty(len(P))
-        for i in range(len(P)):
-            out[i] = self.distance_between(P[i:i + 1], Q[i:i + 1])[0, 0]
-        return out
+        return self._paired_distance(np.atleast_2d(P), np.atleast_2d(Q))
+
+    def _paired_distance(self, P, Q):
+        """Row-by-row distance, equal to the diagonal of `distance_between`."""
+        raise NotImplementedError
 
     def distance_from(self, p, P=None):
         if P is None:
@@ -536,6 +537,9 @@ class FlatTorus(AnalyticManifold):
     def distance_between(self, P, Q):
         disp = np.atleast_2d(P)[:, None, :] - np.atleast_2d(Q)[None, :, :]
         return np.linalg.norm(self.wrap(disp), axis=-1)
+
+    def _paired_distance(self, P, Q):
+        return np.linalg.norm(self.wrap(P - Q), axis=-1)
 
     def tangent_frame(self, p):
         return np.eye(self.dim)
@@ -681,6 +685,11 @@ class Sphere(AnalyticManifold):
         cosang = (P @ Q.T) / self.radius ** 2
         return self.radius * np.arccos(np.clip(cosang, -1.0, 1.0))
 
+    def _paired_distance(self, P, Q):
+        # vecdot rounds each 3-term product as the 1x3 @ 3x1 matmul does
+        cosang = np.vecdot(P, Q) / self.radius ** 2
+        return self.radius * np.arccos(np.clip(cosang, -1.0, 1.0))
+
     def tangent_frame(self, p):
         p = np.asarray(p, dtype=float).ravel()
         n = p / np.linalg.norm(p)
@@ -720,12 +729,25 @@ class Sphere(AnalyticManifold):
 
 
 class _SphereBasis:
-    """Real spherical harmonics, unit L2 norm on the radius-R sphere."""
+    """Real spherical harmonics, unit L2 norm on the radius-R sphere.
+
+    Every evaluation makes one `sph_harm_y_all` call per block of points,
+    up to the largest degree, and picks the complex harmonic Y_l^|m| of
+    each label (l, m) from it.
+    """
+
+    # points per sph_harm_y_all call, which returns (L+1, 2L+1, block) arrays
+    BLOCK = 256
 
     def __init__(self, sphere, lams, labels):
         self.manifold = sphere
         self.eigenvalues = lams
         self.labels = labels
+        ell, m = np.array(labels).reshape(-1, 2).T
+        self._ell, self._order, self._imag = ell, np.abs(m), m < 0
+        # m > 0: sqrt(2) (-1)^m Re Y_l^m; m < 0: the same with Im Y_l^|m|
+        self._sign = np.where(m == 0, 1.0,
+                              np.sqrt(2.0) * (-1.0) ** self._order)
 
     def _angles(self, P):
         X = np.atleast_2d(P) / self.manifold.radius
@@ -733,34 +755,28 @@ class _SphereBasis:
         phi = np.arctan2(X[:, 1], X[:, 0])
         return theta, phi
 
-    @staticmethod
-    def _real_parts(ell, m, theta, phi, diff=False):
-        out = scipy.special.sph_harm_y(ell, abs(m), theta, phi,
-                                       diff_n=1 if diff else 0)
+    def _blocks(self, n):
+        return (slice(s, s + self.BLOCK) for s in range(0, n, self.BLOCK))
+
+    def _real_parts(self, theta, phi, diff=False):
+        """Real harmonics per label, (K, points); with `diff`, also their
+        theta and phi derivatives."""
+        L = int(self._ell.max())
         if diff:
-            y, dy = out[0], out[1]
-            dth, dph = dy[..., 0], dy[..., 1]
+            y, dy = scipy.special.sph_harm_y_all(L, L, theta, phi, diff_n=1)
+            fields = (y, dy[..., 0], dy[..., 1])
         else:
-            y = out
-            dth = dph = None
-        s = np.sqrt(2.0) * (-1.0) ** abs(m)
-        if m == 0:
-            pick = np.real
-            s = 1.0
-        elif m > 0:
-            pick = np.real
-        else:
-            pick = np.imag
-        if diff:
-            return s * pick(y), s * pick(dth), s * pick(dph)
-        return s * pick(y)
+            fields = (scipy.special.sph_harm_y_all(L, L, theta, phi),)
+        imag, sign = self._imag[:, None], self._sign[:, None]
+        picked = (f[self._ell, self._order] for f in fields)
+        return [sign * np.where(imag, f.imag, f.real) for f in picked]
 
     def values(self, P):
         theta, phi = self._angles(P)
         R = self.manifold.radius
         out = np.empty((len(theta), len(self.labels)))
-        for k, (ell, m) in enumerate(self.labels):
-            out[:, k] = self._real_parts(ell, m, theta, phi) / R
+        for b in self._blocks(len(theta)):
+            out[b] = self._real_parts(theta[b], phi[b])[0].T / R
         return out
 
     def gradients(self, P):
@@ -773,21 +789,36 @@ class _SphereBasis:
         phi_hat = np.column_stack([-np.sin(phi), np.cos(phi),
                                    np.zeros_like(phi)])
         out = np.zeros((len(theta), len(self.labels), 3))
-        for k, (ell, m) in enumerate(self.labels):
-            if ell == 0:
-                continue
-            _, dth, dph = self._real_parts(ell, m, theta, phi, diff=True)
-            out[:, k, :] = (dth[:, None] * theta_hat
-                            + (dph / sin_t)[:, None] * phi_hat) / R ** 2
+        live = self._ell > 0
+        for b in self._blocks(len(theta)):
+            _, dth, dph = self._real_parts(theta[b], phi[b], diff=True)
+            dth, dph = dth[live].T, dph[live].T
+            out[b, live] = (dth[:, :, None] * theta_hat[b, None, :]
+                            + (dph / sin_t[b, None])[:, :, None]
+                            * phi_hat[b, None, :]) / R ** 2
         return out
 
+    # The basis is immutable, so its sampled sup norms are computed once.
     def sup_norms(self):
-        vals = self.values(self.manifold.sample_points())
-        return np.abs(vals).max(axis=0)
+        return self._sup_norms
 
     def grad_sup_norms(self):
+        return self._grad_sup_norms
+
+    @functools.cached_property
+    def _sup_norms(self):
+        vals = self.values(self.manifold.sample_points())
+        return _frozen(np.abs(vals).max(axis=0))
+
+    @functools.cached_property
+    def _grad_sup_norms(self):
         grads = self.gradients(self.manifold.sample_points())
-        return np.linalg.norm(grads, axis=2).max(axis=0)
+        return _frozen(np.linalg.norm(grads, axis=2).max(axis=0))
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 def make_analytic(kind, **params):

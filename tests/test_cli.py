@@ -109,6 +109,19 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "non-finite" in proc.stderr
 
+    @pytest.mark.parametrize("line, message", [
+        ("embed.delta = -1", "embed.delta must be positive"),
+        ("embed.map = Q", "unknown embed.map 'Q'"),
+    ])
+    def test_bad_embed_input(self, tmp_path, capsys, line, message):
+        key = line.split(" =")[0]
+        text = "".join(l + "\n" for l in CIRCLE_CFG.splitlines()
+                       if not l.startswith(key)) + line + "\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["embed", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_counterexample_rejects_circle(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")

@@ -10,7 +10,7 @@ from spectral_embed.heat import HeatEvaluator
 from spectral_embed.embed import (
     Net, build_net, continuous_dilatation, dilatation_report, evaluate_map,
     image_distance, injectivity_report, make_map, map_scale, replicate_net,
-    sample_near_pairs, scan_embedding, voronoi_weights)
+    sample_far_pairs, sample_near_pairs, scan_embedding, voronoi_weights)
 
 
 CIRCLE = Circle(2 * np.pi, samples=4096)
@@ -388,3 +388,92 @@ def test_mesh_h_near_resolution_guard():
     emap = make_map("G", evaluator=ev, net=net, t=0.1)
     with pytest.raises(ValueError, match="edge lengths"):
         dilatation_report(emap, mesh, 0.5 * mesh.mean_edge_length())
+
+
+@pytest.fixture(scope="module")
+def ico2_setup():
+    mesh = make_sphere(1.0, 2)
+    return mesh, HeatEvaluator(compute_spectrum(mesh, 40), 39), \
+        build_net(mesh, 0.6)
+
+
+@pytest.mark.parametrize("backend", ["circle", "icosphere2"])
+@pytest.mark.parametrize("kind", ["G", "H", "F", "kuratowski"])
+def test_scan_equals_level_by_level_reports(backend, kind, circle_ev,
+                                            ico2_setup):
+    if backend == "circle":
+        man, ev, net = CIRCLE, circle_ev, build_net(CIRCLE, 0.3)
+        h_near, h_far = 0.05, 1.0
+    else:
+        man, ev, net = ico2_setup
+        h_near, h_far = 3.5 * man.mean_edge_length(), 1.0
+    opts = dict(evaluator=ev, net=net, manifold=man, eigencount=5)
+    results, best = scan_embedding(kind, t_max=0.4, levels=3, h_near=h_near,
+                                   h_far=h_far, count=60, seed=4, **opts)
+    assert [r["t"] for r in results] == [0.4, 0.2, 0.1]
+    for r in results:
+        emap = make_map(kind, t=r["t"], **opts)
+        rep = dilatation_report(emap, man, h_near, count=60, seed=4)
+        inj = injectivity_report(emap, man, h_far, count=60, seed=4)
+        assert r["report"].ratios.tobytes() == rep.ratios.tobytes()
+        assert np.array_equal(r["report"].distances, rep.distances)
+        assert r["report"].summary() == rep.summary()
+        assert r["injectivity"] == inj
+    assert any(best is r for r in results)
+
+
+def test_scan_mesh_h_near_guard_fires_before_sampling(monkeypatch):
+    from spectral_embed import embed
+    mesh = make_sphere(1.0, 2)
+    ev = HeatEvaluator(compute_spectrum(mesh, 10), 9)
+    net = build_net(mesh, 1.0)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("pairs sampled before the h_near guard")
+
+    monkeypatch.setattr(embed, "sample_near_pairs", no_sampling)
+    monkeypatch.setattr(embed, "sample_far_pairs", no_sampling)
+    h_near = 0.5 * mesh.mean_edge_length()
+    with pytest.raises(ValueError, match="^h_near below 3 mesh edge lengths: "
+                       "difference quotients would be dominated by graph "
+                       "error$"):
+        scan_embedding("G", evaluator=ev, net=net, h_near=h_near, levels=2)
+    emap = make_map("G", evaluator=ev, net=net, t=0.1)
+    with pytest.raises(ValueError, match="edge lengths"):
+        dilatation_report(emap, mesh, h_near)
+
+
+def test_scan_needs_a_level(circle_ev, fine_net):
+    with pytest.raises(ValueError, match="at least one level"):
+        scan_embedding("G", evaluator=circle_ev, net=fine_net, levels=0)
+
+
+@pytest.mark.parametrize("man", [CIRCLE, Sphere(1.0),
+                                 FlatTorus((2 * np.pi, 0.5))],
+                         ids=["circle", "sphere", "torus"])
+def test_far_pairs_match_one_draw_at_a_time(man):
+    # the one-pair-per-try sampler the batched rounds must reproduce
+    def reference(h_far, count, rng):
+        P = man.sample_points()
+        xs, ys, ds = [], [], []
+        tries = 0
+        while len(xs) < count and tries < 50 * count:
+            i, j = rng.integers(0, len(P), size=2)
+            d = man.distance_between(P[i:i + 1], P[j:j + 1])[0, 0]
+            tries += 1
+            if d >= h_far:
+                xs.append(P[i])
+                ys.append(P[j])
+                ds.append(d)
+        return np.vstack(xs), np.vstack(ys), np.asarray(ds)
+
+    # a threshold most pairs miss, so the search runs many rounds
+    h_far = 0.8 * man.diameter()
+    for count in (1, 37, 200):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_far_pairs(man, h_far, count, rng_a)
+        ref = reference(h_far, count, rng_b)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        # the generator is left where one-at-a-time drawing leaves it
+        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)

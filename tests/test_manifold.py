@@ -338,3 +338,71 @@ class TestSphereHarmonics:
         G = basis.gradients(P)
         radial = np.einsum("mkd,md->mk", G, P / 2.0)
         assert np.abs(radial).max() < 1e-8
+
+
+def _sph_reference(basis, P, gradients):
+    """One scipy.special.sph_harm_y call per label, the per-label form the
+    all-degree evaluation must reproduce bit for bit."""
+    import scipy.special
+    R = basis.manifold.radius
+    theta, phi = basis._angles(P)
+    sin_t = np.maximum(np.sin(theta), 1e-12)
+    theta_hat = np.column_stack([np.cos(theta) * np.cos(phi),
+                                 np.cos(theta) * np.sin(phi), -np.sin(theta)])
+    phi_hat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    vals = np.empty((len(theta), len(basis.labels)))
+    grads = np.zeros((len(theta), len(basis.labels), 3))
+    for k, (ell, m) in enumerate(basis.labels):
+        y, dy = scipy.special.sph_harm_y(ell, abs(m), theta, phi, diff_n=1)
+        pick = np.imag if m < 0 else np.real
+        s = 1.0 if m == 0 else np.sqrt(2.0) * (-1.0) ** abs(m)
+        vals[:, k] = s * pick(y) / R
+        if ell == 0:
+            continue
+        dth, dph = s * pick(dy[..., 0]), s * pick(dy[..., 1])
+        grads[:, k, :] = (dth[:, None] * theta_hat
+                          + (dph / sin_t)[:, None] * phi_hat) / R ** 2
+    return grads if gradients else vals
+
+
+class TestSphereAllDegrees:
+    # 1: the constant alone; 40: splits the l = 6 band; 225: l = 0..14
+    @pytest.mark.parametrize("count", [1, 40, 225])
+    def test_values_and_gradients_match_per_label_calls(self, count):
+        s = make_analytic("sphere", radius=1.3)
+        basis = s.eigenbasis(count)
+        # more points than one evaluation block, plus both poles and the
+        # phi = +-pi seam
+        P = np.vstack([s.sample_points(600),
+                       [[0, 0, 1.3], [0, 0, -1.3], [-1.3, 0, 0],
+                        [-1.3, -1e-300, 0]]])
+        assert np.array_equal(basis.values(P), _sph_reference(basis, P, False))
+        got = basis.gradients(P)
+        ref = _sph_reference(basis, P, True)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_sup_norms_computed_once(self):
+        s = make_analytic("sphere", radius=1.0, samples=300)
+        basis = s.eigenbasis(16)
+        sup, gsup = basis.sup_norms(), basis.grad_sup_norms()
+        assert basis.sup_norms() is sup and basis.grad_sup_norms() is gsup
+        P = s.sample_points()
+        assert np.array_equal(sup, np.abs(basis.values(P)).max(axis=0))
+        assert np.array_equal(
+            gsup, np.linalg.norm(basis.gradients(P), axis=2).max(axis=0))
+        with pytest.raises(ValueError):
+            sup[0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "circle"])
+def test_elementwise_distance_matches_pairwise_rows(name):
+    man = _PROTOCOL_BACKENDS[name]()
+    S = man.sample_points()
+    rng = np.random.default_rng(1)
+    P, Q = S[rng.integers(0, len(S), 500)], S[rng.integers(0, len(S), 500)]
+    Q[:3] = P[:3]
+    # the per-pair form: one 1x1 distance_between per row
+    ref = np.array([man.distance_between(p[None], q[None])[0, 0]
+                    for p, q in zip(P, Q)])
+    assert np.array_equal(man.distance(P, Q), ref)
+    assert np.all(man.distance(P[:3], Q[:3]) == 0.0)
