@@ -16,7 +16,8 @@ from . import reporting
 from .manifold import (Circle, FlatTorus, Sphere, TriMesh, load_mesh,
                        make_sphere, make_torus_mesh, MeshError)
 from .spectrum import (GeometryBounds, compute_spectrum, eigen_growth_check,
-                       truncation_index, export_spectrum, TruncationError)
+                       truncation_index, export_spectrum, EigensolverError,
+                       TruncationError)
 from .heat import (HeatEvaluator, decay_check, varadhan_check,
                    varadhan_time_grid, export_decay, export_varadhan)
 from .embed import (MAP_KINDS, build_net, make_map, evaluate_map,
@@ -252,10 +253,18 @@ def _embedding_setup(cfg, seed):
         delta = cfg.get_float("embed.delta")
         if delta <= 0:
             raise ConfigError(f"embed.delta must be positive, got {delta!r}")
-    man = build_manifold(cfg)
+    if cfg.get_int("embed.levels", 8) < 1:
+        raise ConfigError("embed.levels must be at least 1")
     count = cfg.get_int("spectrum.count", 64)
-    spec = compute_spectrum(man, count)
     n_trunc = cfg.get_int("embed.n", count - 1)
+    if not 0 <= n_trunc < count:
+        raise ConfigError(f"embed.n must lie in [0, spectrum.count = {count}),"
+                          f" got {n_trunc}")
+    man = build_manifold(cfg)
+    if delta is not None and delta < man.resolution():
+        raise ConfigError(f"embed.delta = {delta!r} is below the sample "
+                          f"resolution {man.resolution()!r}")
+    spec = compute_spectrum(man, count)
     ev = HeatEvaluator(spec, n_trunc)
     net = build_net(man, delta) if delta is not None else None
     eigencount = cfg.get_int("embed.eigencount", 3) if kind == "F" else None
@@ -531,7 +540,8 @@ def main(argv=None):
     except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TruncationError) as exc:
+    except (ValueError, EigensolverError, charts_mod.StabilityError,
+            charts_mod.QuadratureBudgetError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -214,83 +214,47 @@ def image_distance(emap, fx, fy):
 # Pair sampling
 # ---------------------------------------------------------------------------
 
-def sample_near_pairs(manifold, h_near, count, rng):
-    """Point pairs with geodesic separation in (0, h_near]."""
-    if isinstance(manifold, TriMesh):
-        nv = len(manifold.vertices)
-        sources = rng.choice(nv, size=min(64, nv), replace=False)
-        xs, ys, ds = [], [], []
-        for s in sources:
-            field = manifold.graph_distance_from(s)
-            close = np.nonzero((field > 0) & (field <= h_near))[0]
-            for v in close:
-                xs.append(s)
-                ys.append(int(v))
-                ds.append(field[v])
-        if not xs:
-            raise ValueError("no pairs within h_near")
-        idx = rng.permutation(len(xs))[:count]
-        return (np.asarray(xs)[idx], np.asarray(ys)[idx],
-                np.asarray(ds)[idx])
+def _source_fields(manifold, size, rng):
+    """Canonical sample, distinct random source rows and their fields.
+
+    A source's own column is zeroed: closed-form distances can leave
+    roundoff there (arccos on the sphere), and a point is no pair with
+    itself.
+    """
     P = manifold.sample_points()
-    base = P[rng.integers(0, len(P), size=count)]
-    radii = rng.uniform(h_near * 0.25, h_near, size=count)
-    partners = np.empty_like(base)
-    for i in range(count):
-        frame = manifold.tangent_frame(base[i])
-        direction = frame.T @ _unit_vector(rng, manifold.dim)
-        partners[i] = manifold.exp(base[i], radii[i] * direction)[0]
-    dists = manifold.distance(base, partners)
-    keep = dists > 0
-    if not np.any(keep):
+    sources = rng.choice(len(P), size=min(size, len(P)), replace=False)
+    fields = manifold.distance_between(P[sources], P)
+    fields[np.arange(len(sources)), sources] = 0.0
+    return P, sources, fields
+
+
+def sample_near_pairs(manifold, h_near, count, rng):
+    """Pairs of canonical sample points with geodesic separation in
+    (0, h_near], drawn around up to 64 random sources."""
+    P, sources, fields = _source_fields(manifold, 64, rng)
+    rows, cols = np.nonzero((fields > 0) & (fields <= h_near))
+    if not rows.size:
         raise ValueError("no pairs within h_near")
-    return base[keep], partners[keep], dists[keep]
-
-
-def _unit_vector(rng, n):
-    v = rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    idx = rng.permutation(rows.size)[:count]
+    rows, cols = rows[idx], cols[idx]
+    return P[sources[rows]], P[cols], fields[rows, cols]
 
 
 def sample_far_pairs(manifold, h_far, count, rng):
-    """Point pairs with geodesic separation >= h_far."""
-    if isinstance(manifold, TriMesh):
-        nv = len(manifold.vertices)
-        sources = rng.choice(nv, size=min(32, nv), replace=False)
-        xs, ys, ds = [], [], []
-        per = max(4, count // len(sources))
-        for s in sources:
-            field = manifold.graph_distance_from(s)
-            far = np.nonzero(field >= h_far)[0]
-            if far.size:
-                pick = rng.choice(far, size=min(per, far.size), replace=False)
-                for v in pick:
-                    xs.append(s)
-                    ys.append(int(v))
-                    ds.append(field[v])
-        if not xs:
-            raise ValueError("no pairs beyond h_far")
-        idx = rng.permutation(len(xs))[:count]
-        return (np.asarray(xs)[idx], np.asarray(ys)[idx], np.asarray(ds)[idx])
-    P = manifold.sample_points()
-    xs, ys, ds = [], [], []
-    kept = tries = 0
-    # Each round draws as many index pairs as are still missing, so the
-    # pairs kept and the try that ends the search are those of drawing one
-    # pair at a time.
-    while kept < count and tries < 50 * count:
-        draws = min(count - kept, 50 * count - tries)
-        ij = rng.integers(0, len(P), size=(draws, 2))
-        tries += len(ij)
-        d = manifold.distance(P[ij[:, 0]], P[ij[:, 1]])
-        far = d >= h_far
-        xs.append(P[ij[far, 0]])
-        ys.append(P[ij[far, 1]])
-        ds.append(d[far])
-        kept += int(far.sum())
-    if not kept:
+    """Pairs of canonical sample points with geodesic separation >= h_far:
+    up to `count // sources` (at least 4) per source, from up to 32."""
+    P, sources, fields = _source_fields(manifold, 32, rng)
+    per = max(4, count // len(sources))
+    far = [np.nonzero(field >= h_far)[0] for field in fields]
+    picks = [rng.choice(f, size=min(per, f.size), replace=False) if f.size
+             else f for f in far]
+    rows = np.repeat(np.arange(len(picks)), [p.size for p in picks])
+    cols = np.concatenate(picks)
+    if not rows.size:
         raise ValueError("no pairs beyond h_far")
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ds)
+    idx = rng.permutation(rows.size)[:count]
+    rows, cols = rows[idx], cols[idx]
+    return P[sources[rows]], P[cols], fields[rows, cols]
 
 
 # ---------------------------------------------------------------------------

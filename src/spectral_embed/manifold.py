@@ -44,8 +44,8 @@ class TriMesh:
     Raises
     ------
     MeshError
-        If the mesh is not closed/oriented or contains a degenerate
-        (near zero area) triangle.
+        If the mesh is not closed/oriented, not connected or contains a
+        degenerate (near zero area) triangle.
     """
 
     def __init__(self, vertices, faces, period=None, reference=None):
@@ -132,6 +132,12 @@ class TriMesh:
             i = int(missing[0])
             raise MeshError(
                 f"non-closed mesh: boundary edge ({i // v},{i % v})")
+        graph = sparse.csr_matrix(
+            (np.ones(len(directed), dtype=np.int8),
+             (directed[:, 0], directed[:, 1])), shape=(v, v))
+        components = csgraph.connected_components(graph, directed=False)[0]
+        if components > 1:
+            raise MeshError(f"disconnected mesh: {components} components")
 
     def edges(self):
         """Undirected edges as an (E, 2) array with i < j."""

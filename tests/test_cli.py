@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from spectral_embed import charts as charts_mod
 from spectral_embed.cli import ConfigError, RunConfig, main
+from spectral_embed.manifold import make_sphere
+from spectral_embed.spectrum import EigensolverError
 
 
 CIRCLE_CFG = """
@@ -112,8 +115,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("embed.delta = -1", "embed.delta must be positive"),
         ("embed.map = Q", "unknown embed.map 'Q'"),
+        ("embed.levels = 0", "embed.levels must be at least 1"),
+        ("embed.n = 60", "embed.n must lie in [0, spectrum.count = 60)"),
+        ("embed.n = -1", "embed.n must lie in [0, spectrum.count = 60)"),
+        ("embed.delta = 0.001", "below the sample resolution"),
     ])
-    def test_bad_embed_input(self, tmp_path, capsys, line, message):
+    def test_bad_embed_input(self, tmp_path, capsys, monkeypatch, line,
+                             message):
+        from spectral_embed import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the embed inputs were checked")
+
+        # rejected before the spectrum or the net is computed
+        monkeypatch.setattr(cli, "compute_spectrum", no_build)
+        monkeypatch.setattr(cli, "build_net", no_build)
         key = line.split(" =")[0]
         text = "".join(l + "\n" for l in CIRCLE_CFG.splitlines()
                        if not l.startswith(key)) + line + "\n"
@@ -121,6 +137,39 @@ class TestExitCodes:
         assert main(["embed", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_disconnected_mesh_input(self, tmp_path, capsys):
+        ico = make_sphere(1.0, 1)
+        verts = np.vstack([ico.vertices, ico.vertices + 3.0])
+        faces = np.vstack([ico.faces, ico.faces + len(ico.vertices)])
+        off = tmp_path / "two.off"
+        off.write_text("".join(
+            [f"OFF\n{len(verts)} {len(faces)} 0\n"]
+            + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts]
+            + [f"3 {a} {b} {c}\n" for a, b, c in faces]))
+        cfg = write_cfg(tmp_path, f"manifold.kind = mesh\n"
+                        f"manifold.path = {off}\nspectrum.count = 8\n")
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "disconnected mesh: 2 components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        EigensolverError, charts_mod.StabilityError,
+        charts_mod.QuadratureBudgetError])
+    def test_solver_failure_is_a_failed_check(self, tmp_path, capsys,
+                                              monkeypatch, error):
+        from spectral_embed import cli
+
+        def fail(*args, **kwargs):
+            raise error("budget exhausted")
+
+        monkeypatch.setattr(cli, "compute_spectrum", fail)
+        cfg = write_cfg(tmp_path, CIRCLE_CFG)
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "check failed: budget exhausted" in err
+        assert "Traceback" not in err
 
     def test_counterexample_rejects_circle(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
@@ -303,6 +352,30 @@ def test_reports_follow_umask(tmp_path):
         os.umask(old)
     for name in ("r.txt", "t.csv"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
+def test_scan_bytes_independent_of_blas_threads(tmp_path):
+    # the README promises byte-identical outputs whatever the BLAS pool size
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    env.pop("SPECTRAL_EMBED_THREADS", None)
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_embed.cli", "embed", "--scan",
+             "--config", os.path.join(root, "configs", "circle_h.cfg"),
+             "--out", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "scan.csv" in trees[0] and "ratios.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def test_shipped_configs_run(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_embed.manifold import Circle, FlatTorus, Sphere, make_sphere
+from spectral_embed.manifold import (Circle, FlatTorus, Sphere, make_sphere,
+                                     make_torus_mesh)
 from spectral_embed.spectrum import Spectrum, compute_spectrum
 from spectral_embed.heat import HeatEvaluator
 from spectral_embed.embed import (
@@ -448,32 +449,73 @@ def test_scan_needs_a_level(circle_ev, fine_net):
         scan_embedding("G", evaluator=circle_ev, net=fine_net, levels=0)
 
 
+@pytest.mark.parametrize("mesh", [make_sphere(1.0, 2),
+                                  make_torus_mesh((2 * np.pi, 2 * np.pi),
+                                                  (16, 16))],
+                         ids=["icosphere2", "grid_torus"])
+def test_mesh_pairs_match_one_field_per_source(mesh):
+    # one graph_distance_from per source, vertices appended one at a time
+    def near_reference(h_near, count, rng):
+        nv = len(mesh.vertices)
+        xs, ys, ds = [], [], []
+        for s in rng.choice(nv, size=min(64, nv), replace=False):
+            field = mesh.graph_distance_from(s)
+            for v in np.nonzero((field > 0) & (field <= h_near))[0]:
+                xs.append(s)
+                ys.append(int(v))
+                ds.append(field[v])
+        idx = rng.permutation(len(xs))[:count]
+        return np.asarray(xs)[idx], np.asarray(ys)[idx], np.asarray(ds)[idx]
+
+    def far_reference(h_far, count, rng):
+        nv = len(mesh.vertices)
+        sources = rng.choice(nv, size=min(32, nv), replace=False)
+        per = max(4, count // len(sources))
+        xs, ys, ds = [], [], []
+        for s in sources:
+            field = mesh.graph_distance_from(s)
+            far = np.nonzero(field >= h_far)[0]
+            if far.size:
+                for v in rng.choice(far, size=min(per, far.size),
+                                    replace=False):
+                    xs.append(s)
+                    ys.append(int(v))
+                    ds.append(field[v])
+        idx = rng.permutation(len(xs))[:count]
+        return np.asarray(xs)[idx], np.asarray(ys)[idx], np.asarray(ds)[idx]
+
+    h_near = 4 * mesh.resolution()
+    # a threshold most vertices miss, so some sources keep fewer than `per`
+    h_far = 0.8 * mesh.diameter_estimate()
+    for count in (1, 37, 400):
+        for sampler, reference, h in ((sample_near_pairs, near_reference,
+                                       h_near),
+                                      (sample_far_pairs, far_reference,
+                                       h_far)):
+            rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            got = sampler(mesh, h, count, rng_a)
+            ref = reference(h, count, rng_b)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+
+
 @pytest.mark.parametrize("man", [CIRCLE, Sphere(1.0),
                                  FlatTorus((2 * np.pi, 0.5))],
                          ids=["circle", "sphere", "torus"])
-def test_far_pairs_match_one_draw_at_a_time(man):
-    # the one-pair-per-try sampler the batched rounds must reproduce
-    def reference(h_far, count, rng):
-        P = man.sample_points()
-        xs, ys, ds = [], [], []
-        tries = 0
-        while len(xs) < count and tries < 50 * count:
-            i, j = rng.integers(0, len(P), size=2)
-            d = man.distance_between(P[i:i + 1], P[j:j + 1])[0, 0]
-            tries += 1
-            if d >= h_far:
-                xs.append(P[i])
-                ys.append(P[j])
-                ds.append(d)
-        return np.vstack(xs), np.vstack(ys), np.asarray(ds)
-
-    # a threshold most pairs miss, so the search runs many rounds
-    h_far = 0.8 * man.diameter()
-    for count in (1, 37, 200):
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        got = sample_far_pairs(man, h_far, count, rng_a)
-        ref = reference(h_far, count, rng_b)
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
-        # the generator is left where one-at-a-time drawing leaves it
-        assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
+def test_closed_form_pairs_are_sample_points(man):
+    P = man.sample_points()
+    rows = {p.tobytes(): i for i, p in enumerate(P)}
+    h_near, h_far = 4 * man.resolution(), man.diameter() / 8
+    rng = np.random.default_rng(3)
+    near = sample_near_pairs(man, h_near, 400, rng)
+    far = sample_far_pairs(man, h_far, 400, rng)
+    assert len(near[0]) == 400 and len(far[0]) == 384
+    for xs, ys, ds in (near, far):
+        ix = [rows[p.tobytes()] for p in xs]
+        iy = [rows[p.tobytes()] for p in ys]
+        assert not np.any(np.equal(ix, iy))
+        assert np.array_equal(ds, man.distance(xs, ys))
+    assert np.all((near[2] > 0) & (near[2] <= h_near))
+    assert np.all(far[2] >= h_far)

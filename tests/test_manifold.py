@@ -62,6 +62,18 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="OFF header"):
             load_mesh(write(tmp_path, "NOFF\n1 0 0\n"))
 
+    def test_disconnected_mesh_rejected(self, tmp_path):
+        ico = make_sphere(1.0, 1)
+        verts = np.vstack([ico.vertices, ico.vertices + 3.0])
+        faces = np.vstack([ico.faces, ico.faces + len(ico.vertices)])
+        text = "".join([f"OFF\n{len(verts)} {len(faces)} 0\n"]
+                       + [f"{x:.17g} {y:.17g} {z:.17g}\n"
+                          for x, y, z in verts]
+                       + [f"3 {a} {b} {c}\n" for a, b, c in faces])
+        with pytest.raises(MeshError,
+                           match="^disconnected mesh: 2 components$"):
+            load_mesh(write(tmp_path, text))
+
     def test_degenerate_triangle_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 1e-16]])
         faces = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3],
