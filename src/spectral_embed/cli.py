@@ -308,7 +308,8 @@ def cmd_embed(cfg, outdir, seed, scan):
                         ["pair", "ratio"], rows)
 
     entries = dict(rep.summary())
-    entries.update({"inj_margin": inj["margin"], "h_far": inj["h_far"],
+    entries.update({"inj_margin": inj["margin"], "far_pairs": inj["pairs"],
+                    "h_far": inj["h_far"],
                     "t_used": t, "delta": net.delta if net else "none",
                     "n_trunc": ev.n_trunc,
                     "n_0": len(net) if net else 0})
@@ -369,7 +370,8 @@ def verify_injectivity(cfg, outdir, seed):
                              count=cfg.get_int("embed.pairs", 400), seed=seed)
     ok = inj["margin"] > 0
     _write_summary(outdir, "injectivity_report.txt", cfg, {
-        "inj_margin": inj["margin"], "h_far": h_far, "t": t, "pass": ok})
+        "inj_margin": inj["margin"], "far_pairs": inj["pairs"],
+        "h_far": h_far, "t": t, "pass": ok})
     return ok
 
 

@@ -97,14 +97,21 @@ class TriMesh:
                 out[..., ax] -= per * np.round(out[..., ax] / per)
         return out
 
-    def corner_vectors(self):
-        """Edge vectors (x1-x0, x2-x0) per face, period-aware."""
+    def corner_vectors(self, faces=None):
+        """Edge vectors (x1-x0, x2-x0) per face, period-aware.
+
+        `faces` is an index array that picks a subset of the faces (all
+        faces by default).
+        """
         if self._corner_vectors is None:
             x0 = self.vertices[self.faces[:, 0]]
             e1 = self.wrap(self.vertices[self.faces[:, 1]] - x0)
             e2 = self.wrap(self.vertices[self.faces[:, 2]] - x0)
             self._corner_vectors = (e1, e2)
-        return self._corner_vectors
+        if faces is None:
+            return self._corner_vectors
+        e1, e2 = self._corner_vectors
+        return e1[faces], e2[faces]
 
     def _face_areas(self):
         e1, e2 = self.corner_vectors()
@@ -119,17 +126,18 @@ class TriMesh:
         f = self.faces
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         v = len(self.vertices)
-        key = directed[:, 0] * v + directed[:, 1]
-        uniq, counts = np.unique(key, return_counts=True)
-        if np.any(counts > 1):
-            i = int(uniq[counts > 1][0])
+        key = np.sort(directed[:, 0] * v + directed[:, 1])
+        repeated = key[1:][key[1:] == key[:-1]]
+        if repeated.size:
+            i = int(repeated[0])
             raise MeshError(
                 f"non-closed mesh: directed edge ({i // v},{i % v}) repeated "
                 "(inconsistent orientation or non-manifold edge)")
-        rkey = directed[:, 1] * v + directed[:, 0]
-        missing = np.setdiff1d(key, rkey, assume_unique=False)
-        if missing.size:
-            i = int(missing[0])
+        # closed and oriented: every directed edge is some edge reversed
+        rkey = np.sort(directed[:, 1] * v + directed[:, 0])
+        if not np.array_equal(key, rkey):
+            pos = np.minimum(np.searchsorted(rkey, key), len(rkey) - 1)
+            i = int(key[rkey[pos] != key][0])
             raise MeshError(
                 f"non-closed mesh: boundary edge ({i // v},{i % v})")
         graph = sparse.csr_matrix(
@@ -173,26 +181,30 @@ class TriMesh:
         """Discretization scale: the mean edge length."""
         return self.mean_edge_length()
 
-    def face_gradients(self, values):
+    def face_gradients(self, values, faces=None):
         """Per-triangle gradients of vertex fields as ambient vectors.
 
-        `values` is (V,) or (V, K); the result is (F, 3) or (F, K, 3).
-        Not cached: a cache here would keep per-face arrays alive as long
-        as the mesh, which dominates peak memory on large grids.
+        `values` is (V,) or (V, K); the result is (F, 3) or (F, K, 3), with
+        F the number of `faces` (all faces by default).  Each row depends
+        only on its own face, so a subset gives the rows of the full result
+        bit for bit.  Not cached: a cache here would keep per-face arrays
+        alive as long as the mesh, which dominates peak memory on large
+        grids.
         """
-        e1, e2 = self.corner_vectors()
+        e1, e2 = self.corner_vectors(faces)
+        tri = self.faces if faces is None else self.faces[faces]
         normals = np.cross(e1, e2)
         dbl_area = np.linalg.norm(normals, axis=1, keepdims=True)
         normals = normals / dbl_area
         # rotated opposite-edge vectors: grad f = sum_c f_c (n x e_opp_c)/(2A)
         corners = np.stack([np.zeros_like(e1), e1, e2], axis=1)
         values = np.asarray(values)
-        shape = (len(self.faces),) + (1,) * (values.ndim - 1) + (3,)
-        grads = np.zeros((len(self.faces),) + values.shape[1:] + (3,))
+        shape = (len(tri),) + (1,) * (values.ndim - 1) + (3,)
+        grads = np.zeros((len(tri),) + values.shape[1:] + (3,))
         for c in range(3):
             e_opp = corners[:, (c + 2) % 3] - corners[:, (c + 1) % 3]
             gvec = np.cross(normals, e_opp) / dbl_area
-            grads += values[self.faces[:, c]][..., None] * gvec.reshape(shape)
+            grads += values[tri[:, c]][..., None] * gvec.reshape(shape)
         return grads
 
     # -- tangent frames -----------------------------------------------------
@@ -372,10 +384,13 @@ def load_mesh(path):
         pos += 1
         if not text:
             continue
-        parts = text.split()
-        if len(parts) < 3:
+        try:
+            xyz = [float(x) for x in text.split()[:3]]
+        except ValueError:
+            xyz = []
+        if len(xyz) < 3 or not np.all(np.isfinite(xyz)):
             raise MeshError(f"{path}:{pos}: bad vertex line")
-        vertices[got] = [float(x) for x in parts[:3]]
+        vertices[got] = xyz
         got += 1
     got = 0
     while got < nf:
@@ -385,10 +400,14 @@ def load_mesh(path):
         pos += 1
         if not text:
             continue
-        parts = text.split()
-        if int(parts[0]) != 3:
+        try:
+            corners, *idx = (int(x) for x in text.split()[:4])
+        except ValueError as exc:
+            raise MeshError(f"{path}:{pos}: bad face line") from exc
+        if corners != 3:
             raise MeshError(f"{path}:{pos}: only triangular faces supported")
-        idx = [int(x) for x in parts[1:4]]
+        if len(idx) < 3:
+            raise MeshError(f"{path}:{pos}: bad face line")
         if min(idx) < 0 or max(idx) >= nv:
             raise MeshError(f"{path}:{pos}: face references vertex index out of range")
         faces[got] = idx
@@ -861,26 +880,36 @@ class OperatorPair:
         self.mass = mass.tocsr()
 
 
-def assemble_laplacian(mesh, aspect_warn=1e4):
-    """Cotangent stiffness + lumped barycentric mass for a TriMesh."""
-    e1, e2 = mesh.corner_vectors()
+def assemble_laplacian(mesh, aspect_warn=1e4, faces=None):
+    """Cotangent stiffness + lumped barycentric mass for a TriMesh.
+
+    `faces` restricts the stiffness to the contributions of those faces
+    (all faces by default).  A row whose vertex has all its incident faces
+    in the subset gets the same entries, summed in the same order, as in
+    the full assembly.  The mass is always the full lumped mass.
+    """
+    if faces is None:
+        tri, areas = mesh.faces, mesh.face_areas
+    else:
+        tri, areas = mesh.faces[faces], mesh.face_areas[faces]
+    e1, e2 = mesh.corner_vectors(faces)
     corners = np.stack([np.zeros_like(e1), e1, e2], axis=1)  # (F, 3, 3)
-    areas = mesh.face_areas
 
     edge_len = np.stack([
         np.linalg.norm(corners[:, 2] - corners[:, 1], axis=1),
         np.linalg.norm(corners[:, 2] - corners[:, 0], axis=1),
         np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)], axis=1)
     aspect = edge_len.max(axis=1) ** 2 / (2 * areas)
-    for idx in np.nonzero(aspect > aspect_warn)[0]:
-        warnings.warn(f"triangle {idx} is numerically degenerate "
-                      f"(aspect {aspect[idx]:.2e})", RuntimeWarning)
+    ids = np.arange(len(tri)) if faces is None else np.asarray(faces)
+    for k in np.nonzero(aspect > aspect_warn)[0]:
+        warnings.warn(f"triangle {ids[k]} is numerically degenerate "
+                      f"(aspect {aspect[k]:.2e})", RuntimeWarning)
 
     nv = len(mesh.vertices)
     rows, cols, vals = [], [], []
     for c in range(3):
-        i = mesh.faces[:, (c + 1) % 3]
-        j = mesh.faces[:, (c + 2) % 3]
+        i = tri[:, (c + 1) % 3]
+        j = tri[:, (c + 2) % 3]
         u = corners[:, (c + 1) % 3] - corners[:, c]
         v = corners[:, (c + 2) % 3] - corners[:, c]
         # cot of the angle at corner c, opposite edge (i, j)

@@ -246,7 +246,7 @@ def _ball_faces(mesh, dist_to_base, r):
 
 
 def _gram_fields(mesh, fields, faces):
-    sub = [mesh.face_gradients(f)[faces] for f in fields]
+    sub = [mesh.face_gradients(f, faces) for f in fields]
     n = len(sub)
     gram = np.empty((len(faces), n, n))
     for i in range(n):
@@ -257,8 +257,8 @@ def _gram_fields(mesh, fields, faces):
 
 def _face_centroids(mesh, faces):
     x0 = mesh.vertices[mesh.faces[faces, 0]]
-    e1, e2 = mesh.corner_vectors()
-    return x0 + (e1[faces] + e2[faces]) / 3.0
+    e1, e2 = mesh.corner_vectors(faces)
+    return x0 + (e1 + e2) / 3.0
 
 
 def _holder_over_faces(mesh, gram, faces, alpha=0.5):
@@ -321,15 +321,21 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
     Solves Laplace(b_i) = 0 on the ball interior with b_i = rho_i on the
     boundary ring, then reports the deviation from rho_i, the discrete
     maximum principle, and the gram field of the harmonic gradients.
+    The stiffness is assembled from the faces touching the interior only:
+    its interior rows are those of the full assembly, bit for bit, so the
+    cost scales with the ball and not with the mesh.
     """
     if fields is None:
         sources = frame_points(mesh, base, frame_factor * iota)
         fields = _distance_fields(mesh, sources)
     base_field = mesh.exact_distance_from(base)
-    interior = np.nonzero(base_field < r)[0]
+    inside = base_field < r
+    interior = np.nonzero(inside)[0]
     if interior.size == 0:
         raise ValueError("no interior vertices at this radius")
-    stiffness = assemble_laplacian(mesh).stiffness
+    corner_inside = inside[mesh.faces]
+    star = np.nonzero(np.any(corner_inside, axis=1))[0]
+    stiffness = assemble_laplacian(mesh, faces=star).stiffness
     neighbor_mask = np.zeros(len(mesh.vertices), dtype=bool)
     sub = stiffness[interior]
     neighbor_mask[sub.indices] = True
@@ -357,10 +363,8 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
         b[interior] = b_interior
         harmonics.append(b)
 
-    # gram over faces fully inside interior+ring (harmonic values there)
-    known = np.zeros(len(mesh.vertices), dtype=bool)
-    known[interior] = True
-    faces = np.nonzero(np.all(known[mesh.faces], axis=1))[0]
+    # gram over faces with every corner interior (solved values there)
+    faces = np.nonzero(np.all(corner_inside, axis=1))[0]
     if faces.size == 0:
         faces = _ball_faces(mesh, base_field, r)
     gram = _gram_fields(mesh, harmonics, faces)

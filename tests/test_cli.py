@@ -153,6 +153,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert "disconnected mesh: 2 components" in capsys.readouterr().err
 
+    def test_malformed_off_input(self, tmp_path, capsys):
+        off = tmp_path / "bad.off"
+        off.write_text("OFF\n4 4 0\n1 1 x\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+                       "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n")
+        cfg = write_cfg(tmp_path, f"manifold.kind = mesh\n"
+                        f"manifold.path = {off}\nspectrum.count = 3\n")
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{off}:3: bad vertex line" in err
+        assert "check failed" not in err
+
     @pytest.mark.parametrize("error", [
         EigensolverError, charts_mod.StabilityError,
         charts_mod.QuadratureBudgetError])
@@ -250,6 +262,23 @@ class TestSubcommands:
         out = str(tmp_path / "out")
         assert main(["verify", "truncation", "--config", cfg,
                      "--out", out]) == 0
+
+    def test_reports_count_far_pairs(self, tmp_path):
+        # 32 far sources with max(4, 400 // 32) = 12 draws each give 384
+        # far pairs for the 400 requested
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = tmp_path / "scan"
+        assert main(["embed", "--scan", "--config",
+                     os.path.join(root, "configs", "circle_h.cfg"),
+                     "--out", str(out)]) == 0
+        report = (out / "embed_report.txt").read_text().splitlines()
+        assert "pairs=400" in report
+        assert "far_pairs=384" in report
+        cfg = write_cfg(tmp_path, CIRCLE_CFG)
+        assert main(["verify", "injectivity", "--config", cfg,
+                     "--out", str(tmp_path / "inj")]) == 0
+        report = (tmp_path / "inj" / "injectivity_report.txt").read_text()
+        assert "far_pairs=80" in report.splitlines()
 
     def test_reports_embed_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)

@@ -81,6 +81,21 @@ class TestLoadMesh:
         with pytest.raises(MeshError):
             TriMesh(verts, faces)
 
+    @pytest.mark.parametrize("line, bad, message", [
+        (3, "1 1 x", "bad vertex line"),
+        (4, "0 nan 0", "bad vertex line"),
+        (10, "3 0 1 y", "bad face line"),
+        (11, "3 0 1", "bad face line"),
+        (16, "3.0 0 1 2", "bad face line"),
+    ])
+    def test_parse_errors_name_the_line(self, tmp_path, line, bad, message):
+        lines = OCTAHEDRON.splitlines()
+        lines[line - 1] = bad
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(MeshError) as info:
+            load_mesh(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
     def test_roundtrip(self, tmp_path):
         mesh = make_sphere(1.0, 1)
         path = tmp_path / "ico.off"
@@ -88,6 +103,76 @@ class TestLoadMesh:
         back = load_mesh(str(path))
         assert np.array_equal(back.faces, mesh.faces)
         assert np.allclose(back.vertices, mesh.vertices)
+
+
+def _broken_meshes():
+    """The three ways an oriented mesh stops being closed, per mesh."""
+    for name, mesh in (("icosphere2", make_sphere(1.0, 2)),
+                       ("grid8", make_torus_mesh((1.0, 1.0), (8, 8)))):
+        f = mesh.faces
+        flipped = f.copy()
+        flipped[5] = flipped[5, ::-1]
+        for case, faces in (("dropped", f[1:]), ("flipped", flipped),
+                            ("duplicated", np.vstack([f, f[:1]]))):
+            yield f"{name}-{case}", mesh, faces
+
+
+REPEATED = " repeated (inconsistent orientation or non-manifold edge)"
+CLOSEDNESS_MESSAGES = {
+    "icosphere2-dropped": "non-closed mesh: boundary edge (0,44)",
+    "icosphere2-flipped": "non-closed mesh: directed edge (13,45)" + REPEATED,
+    "icosphere2-duplicated": "non-closed mesh: directed edge (0,42)" + REPEATED,
+    "grid8-dropped": "non-closed mesh: boundary edge (0,9)",
+    "grid8-flipped": "non-closed mesh: directed edge (5,14)" + REPEATED,
+    "grid8-duplicated": "non-closed mesh: directed edge (0,8)" + REPEATED,
+}
+
+
+def test_closedness_messages_name_the_smallest_bad_edge():
+    # each message names the smallest repeated directed edge, else the
+    # smallest directed edge whose reverse is missing
+    seen = {}
+    for name, mesh, faces in _broken_meshes():
+        with pytest.raises(MeshError) as info:
+            TriMesh(mesh.vertices, faces, period=mesh.period)
+        seen[name] = str(info.value)
+    assert seen == CLOSEDNESS_MESSAGES
+
+
+class TestFaceSubsets:
+    """A face subset gives exactly the matching rows of the full result."""
+
+    @pytest.fixture(params=["icosphere2", "grid_torus"])
+    def mesh(self, request):
+        if request.param == "icosphere2":
+            return make_sphere(1.0, 2)
+        return make_torus_mesh((2 * np.pi, 3.0), (12, 10))
+
+    def test_face_gradients(self, mesh):
+        rng = np.random.default_rng(0)
+        faces = rng.choice(len(mesh.faces), 40, replace=False)
+        for values in (rng.normal(size=len(mesh.vertices)),
+                       rng.normal(size=(len(mesh.vertices), 3))):
+            full = mesh.face_gradients(values)
+            assert np.array_equal(mesh.face_gradients(values, faces),
+                                  full[faces])
+
+    def test_stiffness_rows_of_the_star(self, mesh):
+        interior = np.nonzero(mesh.graph_distance_from(0) < 0.5)[0]
+        star = np.nonzero(np.any(np.isin(mesh.faces, interior), axis=1))[0]
+        assert 0 < len(star) < len(mesh.faces)
+        full = assemble_laplacian(mesh).stiffness[interior]
+        sub = assemble_laplacian(mesh, faces=star).stiffness[interior]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sub, attr), getattr(full, attr))
+
+    def test_degenerate_warning_names_the_mesh_face(self):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1e-5, 0],
+                          [0.5, 0, 1e-5]], dtype=float)
+        faces = np.array([[0, 1, 2], [1, 0, 3], [0, 2, 3], [2, 1, 3]])
+        mesh = TriMesh(verts, faces)
+        with pytest.warns(RuntimeWarning, match="^triangle 2 is"):
+            assemble_laplacian(mesh, faces=np.array([2]))
 
 
 class TestMakeSphere:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spectral_embed.manifold import make_sphere, make_torus_mesh
+from spectral_embed import manifold, radius
+from spectral_embed.manifold import TriMesh, make_sphere, make_torus_mesh
 from spectral_embed.radius import (
     abresch_gromoll, ball_volume_profile, bishop_gromov_ratios,
     constants_sweep, coordinate_radius, distance_coordinates_experiment,
@@ -277,3 +278,61 @@ class TestMeshExperiments:
                                          min_distance=0.3,
                                          max_distance=np.pi / 2)
         assert ok, info
+
+
+def _hex(*values):
+    return [float.fromhex(v) for v in values]
+
+
+def test_torus_experiment_reports_are_pinned():
+    # figures of the whole-mesh gradients and stiffness, bit for bit; the
+    # ball of radius 0.16 on the 96^2 grid straddles the periodic seam
+    mesh = make_torus_mesh((2 * np.pi, 2 * np.pi), (96, 96))
+    drep, fields = distance_coordinates_experiment(mesh, 0, 0.16,
+                                                   iota=np.pi)
+    hrep, _ = harmonic_coordinates_experiment(mesh, 0, 0.16, iota=np.pi,
+                                              fields=fields)
+    assert [drep.gram_eigen_min, drep.gram_eigen_max,
+            drep.holder_scaled] == _hex(
+        "0x1.a45401e4f813cp-1", "0x1.2e80b06efae16p+0",
+        "0x1.403f8d4d4aad2p-2")
+    assert np.array_equal(drep.gram_at_base.ravel(), _hex(
+        "0x1.ffb4f5b8871bbp-1", "-0x1.2dcf1a7d5ae4bp-9",
+        "-0x1.2dcf1a7d5ae4bp-9", "0x1.ffb4f5b8871bcp-1"))
+    assert (drep.ball_faces, drep.ball_vertices) == (26, 21)
+    assert (drep.radius, drep.frame_distance) == (0.16, np.pi / 4)
+    assert [hrep.sup_deviation, hrep.gram_eigen_min, hrep.gram_eigen_max,
+            hrep.holder_half, hrep.holder_09] == _hex(
+        "0x1.3ac1cd1c6122ep-4", "0x1.a72847c47811dp-1",
+        "0x1.2d83f360f12fbp+0", "0x1.eb7b0b7dfeac8p-3",
+        "0x1.49ee2ba32d915p-2")
+    assert hrep.max_principle_ok
+    assert (hrep.interior_vertices, hrep.radius) == (21, 0.16)
+
+
+def test_experiments_work_on_the_ball_not_the_mesh(monkeypatch):
+    mesh = make_torus_mesh((2 * np.pi, 2 * np.pi), (192, 192))
+    seen = []
+    gradients = TriMesh.face_gradients
+    assemble = manifold.assemble_laplacian
+
+    def counting_gradients(self, values, faces=None):
+        seen.append(("gradients", len(self.faces if faces is None
+                                       else faces)))
+        return gradients(self, values, faces)
+
+    def counting_assembly(mesh, aspect_warn=1e4, faces=None):
+        seen.append(("stiffness", len(mesh.faces if faces is None
+                                      else faces)))
+        return assemble(mesh, aspect_warn, faces)
+
+    monkeypatch.setattr(TriMesh, "face_gradients", counting_gradients)
+    monkeypatch.setattr(manifold, "assemble_laplacian", counting_assembly)
+    monkeypatch.setattr(radius, "assemble_laplacian", counting_assembly)
+    drep, fields = distance_coordinates_experiment(mesh, 0, 0.08,
+                                                   iota=np.pi)
+    harmonic_coordinates_experiment(mesh, 0, 0.08, iota=np.pi,
+                                    fields=fields)
+    assert drep.ball_faces == 26
+    assert {kind for kind, _ in seen} == {"gradients", "stiffness"}
+    assert max(count for _, count in seen) <= 200, seen
