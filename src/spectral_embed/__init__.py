@@ -1,6 +1,14 @@
 """Spectral-geometry toolkit: heat-kernel and eigenfunction embeddings of
 closed manifolds, with the quantitative bounds that control them."""
 
+import os
+
+# SPECTRAL_EMBED_THREADS caps the BLAS pools, which are sized when numpy
+# loads: set the variables before any submodule imports numpy
+if os.environ.get("SPECTRAL_EMBED_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["SPECTRAL_EMBED_THREADS"])
+
 from .manifold import (TriMesh, Circle, Sphere, FlatTorus, OperatorPair,
                        load_mesh, save_mesh, make_sphere, make_torus_mesh,
                        make_analytic, assemble_laplacian, MeshError)

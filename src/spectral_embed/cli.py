@@ -516,13 +516,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    threads = os.environ.get("SPECTRAL_EMBED_THREADS")
-    if threads:
-        # cap the linear-algebra pools; our own loops are single-threaded
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     try:
         cfg = RunConfig.load(args.config)
         outdir = args.out or cfg.get("out", "out")

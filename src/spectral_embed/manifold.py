@@ -44,8 +44,8 @@ class TriMesh:
     Raises
     ------
     MeshError
-        If the mesh is not closed/oriented, not connected or contains a
-        degenerate (near zero area) triangle.
+        If a vertex is not finite, or the mesh is not closed/oriented, not
+        connected or contains a degenerate (near zero area) triangle.
     """
 
     def __init__(self, vertices, faces, period=None, reference=None):
@@ -58,21 +58,25 @@ class TriMesh:
         if self.faces.size and (self.faces.min() < 0
                                 or self.faces.max() >= len(self.vertices)):
             raise MeshError("face references vertex index out of range")
+        if not np.isfinite(self.vertices).all():
+            bad = np.nonzero(~np.isfinite(self.vertices).all(axis=1))[0][0]
+            raise MeshError(f"non-finite coordinate at vertex {bad}")
+        a, b, c = self.faces.T
+        bad = np.nonzero((a == b) | (b == c) | (c == a))[0]
+        if bad.size:  # a repeated corner has zero area whatever the vertices
+            raise MeshError(f"degenerate (zero-area) triangle at face {bad[0]}")
         self.period = None if period is None else np.asarray(period, dtype=float)
         self.reference = reference
         self.dim = 2
-        self._graph = None
         self._frames = None
-        self._edges = None
-        self._corner_vectors = None
-
-        self._check_closed_oriented()
+        self._edge_table = self._build_edge_table()
 
         bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         if self.period is not None:
             bbox = np.maximum(bbox, self.period)
         diag2 = float(bbox @ bbox)
-        self.face_areas = self._face_areas()
+        self.face_areas = 0.5 * np.linalg.norm(
+            np.cross(*self.corner_vectors()), axis=1)
         bad = np.nonzero(self.face_areas < 1e-12 * diag2)[0]
         if bad.size:
             raise MeshError(f"degenerate (zero-area) triangle at face {bad[0]}")
@@ -103,58 +107,66 @@ class TriMesh:
         `faces` is an index array that picks a subset of the faces (all
         faces by default).
         """
-        if self._corner_vectors is None:
-            x0 = self.vertices[self.faces[:, 0]]
-            e1 = self.wrap(self.vertices[self.faces[:, 1]] - x0)
-            e2 = self.wrap(self.vertices[self.faces[:, 2]] - x0)
-            self._corner_vectors = (e1, e2)
-        if faces is None:
-            return self._corner_vectors
-        e1, e2 = self._corner_vectors
-        return e1[faces], e2[faces]
+        e1, e2 = self._corners
+        return (e1, e2) if faces is None else (e1[faces], e2[faces])
 
-    def _face_areas(self):
-        e1, e2 = self.corner_vectors()
-        return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    @functools.cached_property
+    def _corners(self):
+        x0 = self.vertices[self.faces[:, 0]]
+        return (self.wrap(self.vertices[self.faces[:, 1]] - x0),
+                self.wrap(self.vertices[self.faces[:, 2]] - x0))
 
-    def face_normals(self):
-        e1, e2 = self.corner_vectors()
-        nrm = np.cross(e1, e2)
-        return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+    def _build_edge_table(self):
+        """Check that the mesh is closed, oriented and connected; return the
+        (E, 2) edges (i < j, sorted) and the (E, 2) half-edges of each.
 
-    def _check_closed_oriented(self):
-        f = self.faces
-        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        v = len(self.vertices)
-        key = np.sort(directed[:, 0] * v + directed[:, 1])
-        repeated = key[1:][key[1:] == key[:-1]]
-        if repeated.size:
-            i = int(repeated[0])
+        Half-edge ``c*F + i`` is the directed edge opposite corner c of face
+        i.  One stable sort by undirected key, then direction, puts repeated
+        directed edges side by side and, on a closed oriented mesh, the two
+        halves of each edge in one row, the lower index first.
+        """
+        f, nv = self.faces, len(self.vertices)
+        tail, head = f.T[[1, 2, 0]].ravel(), f.T[[2, 0, 1]].ravel()
+        key = np.minimum(tail, head)
+        key *= nv
+        key += np.maximum(tail, head, out=head)
+        key *= 2
+        key += tail < head  # head now holds the larger end
+        del tail, head
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+
+        def smallest(keys):  # the smallest directed edge among sorted keys
+            lo, hi = np.divmod(keys >> 1, nv)
+            least = np.where(keys & 1, keys >> 1, hi * nv + lo).min()
+            return "({},{})".format(*divmod(int(least), nv))
+
+        same = key[1:] == key[:-1]
+        if same.any():
             raise MeshError(
-                f"non-closed mesh: directed edge ({i // v},{i % v}) repeated "
-                "(inconsistent orientation or non-manifold edge)")
-        # closed and oriented: every directed edge is some edge reversed
-        rkey = np.sort(directed[:, 1] * v + directed[:, 0])
-        if not np.array_equal(key, rkey):
-            pos = np.minimum(np.searchsorted(rkey, key), len(rkey) - 1)
-            i = int(key[rkey[pos] != key][0])
-            raise MeshError(
-                f"non-closed mesh: boundary edge ({i // v},{i % v})")
+                f"non-closed mesh: directed edge {smallest(key[1:][same])} "
+                "repeated (inconsistent orientation or non-manifold edge)")
+        # no repeats: closed iff keys pair up as 2e (j->i) then 2e + 1 (i->j)
+        if not np.array_equal(key[0::2] | 1, key[1::2]):
+            starts = np.diff(key >> 1, prepend=-1, append=-1) != 0
+            raise MeshError("non-closed mesh: boundary edge "
+                            + smallest(key[starts[:-1] & starts[1:]]))
+        edges = np.column_stack(np.divmod(key[1::2] >> 1, nv))
+        del key
         graph = sparse.csr_matrix(
-            (np.ones(len(directed), dtype=np.int8),
-             (directed[:, 0], directed[:, 1])), shape=(v, v))
+            (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+            shape=(nv, nv))
         components = csgraph.connected_components(graph, directed=False)[0]
         if components > 1:
             raise MeshError(f"disconnected mesh: {components} components")
+        order = order.reshape(-1, 2)
+        swap = order[:, 0] > order[:, 1]
+        order[swap] = order[swap, ::-1]
+        return _frozen(edges), _frozen(order)
 
     def edges(self):
-        """Undirected edges as an (E, 2) array with i < j."""
-        if self._edges is None:
-            f = self.faces
-            e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            e.sort(axis=1)
-            self._edges = np.unique(e, axis=0)
-        return self._edges
+        """Undirected edges as an (E, 2) array with i < j, in sorted order."""
+        return self._edge_table[0]
 
     def edge_adjacency(self):
         """The two triangles across each undirected edge.
@@ -163,14 +175,9 @@ class TriMesh:
         the order of :meth:`edges`, and (E, 2) arrays of the two incident
         faces and of their corners opposite the edge.
         """
-        nv = len(self.vertices)
-        f = self.faces
-        tri_e = np.concatenate([f[:, [1, 2]], f[:, [2, 0]], f[:, [0, 1]]])
-        tri_e.sort(axis=1)
-        order = np.argsort(tri_e[:, 0] * nv + tri_e[:, 1], kind="stable")
-        faces = np.tile(np.arange(len(f)), 3)[order].reshape(-1, 2)
-        opposite = f.T.ravel()[order].reshape(-1, 2)  # closed: 2 per edge
-        return tri_e[order][::2], faces, opposite
+        edges, halves = self._edge_table
+        corner, faces = np.divmod(halves, len(self.faces))
+        return edges, faces, self.faces[faces, corner]
 
     def mean_edge_length(self):
         e = self.edges()
@@ -210,8 +217,10 @@ class TriMesh:
     # -- tangent frames -----------------------------------------------------
 
     def vertex_normals(self):
+        fn = np.cross(*self.corner_vectors())
+        fn = fn / np.linalg.norm(fn, axis=1, keepdims=True) \
+            * self.face_areas[:, None]
         nrm = np.zeros_like(self.vertices)
-        fn = self.face_normals() * self.face_areas[:, None]
         for c in range(3):
             np.add.at(nrm, self.faces[:, c], fn)
         return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -227,10 +236,8 @@ class TriMesh:
         v = len(self.vertices)
         if self.period is not None and np.ptp(self.vertices[:, 2]) == 0.0:
             # flat periodic mesh in the plane: the frame is the plane itself
-            frames = np.broadcast_to(
-                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (v, 2, 3)).copy()
-            self._frames = frames
-            return frames
+            self._frames = np.tile(np.eye(2, 3), (v, 1, 1))
+            return self._frames
         e = self.edges()
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
@@ -238,23 +245,21 @@ class TriMesh:
         # covariance of one-ring displacements, 3x3 per vertex
         cov = np.zeros((v, 3, 3))
         np.add.at(cov, rows, disp[:, :, None] * disp[:, None, :])
-        vertex_normals = self.vertex_normals()
-        frames = np.empty((v, 2, 3))
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        _, eigvecs = np.linalg.eigh(cov)
         # smallest-eigenvalue direction is the LSQ plane normal
         normals = eigvecs[:, :, 0]
-        flip = np.sum(normals * vertex_normals, axis=1) < 0
+        flip = np.sum(normals * self.vertex_normals(), axis=1) < 0
         normals[flip] *= -1.0
         e1 = eigvecs[:, :, 2]
         e1 -= np.sum(e1 * normals, axis=1, keepdims=True) * normals
         e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        frames[:, 0] = e1
-        frames[:, 1] = np.cross(normals, e1)
+        frames = np.stack([e1, np.cross(normals, e1)], axis=1)
         self._frames = frames
         return frames
 
     # -- geodesic distance --------------------------------------------------
 
+    @functools.cached_property
     def _distance_graph(self):
         """Edge graph plus one-ring unfolding shortcuts, as a sparse matrix.
 
@@ -263,13 +268,8 @@ class TriMesh:
         unfolded segment crosses the shared edge (so every graph path maps
         to an on-surface path of the same length).
         """
-        if self._graph is not None:
-            return self._graph
         nv = len(self.vertices)
         e, _, opp = self.edge_adjacency()
-        w = np.linalg.norm(self.wrap(self.vertices[e[:, 1]]
-                                     - self.vertices[e[:, 0]]), axis=1)
-
         a, b = e[:, 0], e[:, 1]
         c, d = opp[:, 0], opp[:, 1]
         xa = self.vertices[a]
@@ -290,7 +290,7 @@ class TriMesh:
 
         rows = np.concatenate([a, c[ok]])
         cols = np.concatenate([b, d[ok]])
-        data = np.concatenate([w, short_w[ok]])
+        data = np.concatenate([lab, short_w[ok]])
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         key = lo * nv + hi
         # keep the shortest parallel connection per vertex pair
@@ -300,12 +300,11 @@ class TriMesh:
         first[1:] = key[1:] != key[:-1]
         g = sparse.csr_matrix((data[first], (lo[first], hi[first])),
                               shape=(nv, nv))
-        self._graph = g + g.T
         return g + g.T
 
     def graph_distance_from(self, source):
         """Dijkstra distance field from a vertex over the shortcut graph."""
-        g = self._distance_graph()
+        g = self._distance_graph
         return csgraph.dijkstra(g, directed=False, indices=int(source))
 
     def exact_distance_from(self, source):
@@ -323,7 +322,7 @@ class TriMesh:
 
     def distance_between(self, P, Q):
         """Graph distances, (len(P), len(Q)), from one multi-source search."""
-        fields = csgraph.dijkstra(self._distance_graph(), directed=False,
+        fields = csgraph.dijkstra(self._distance_graph, directed=False,
                                   indices=np.atleast_1d(np.asarray(P, int)))
         return fields[:, np.asarray(Q, dtype=int)]
 

@@ -407,6 +407,31 @@ def test_scan_bytes_independent_of_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_thread_cap_applies_before_numpy_loads(tmp_path):
+    # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    env["SPECTRAL_EMBED_THREADS"] = "1"
+    script = (
+        "import sys\n"
+        "from spectral_embed.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(l for l in fh if l.startswith('Threads:')))\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "spectrum", "--config",
+         os.path.join(root, "configs", "circle_h.cfg"),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Threads:", "1"]
+
+
 def test_shipped_configs_run(tmp_path):
     import pathlib
     root = pathlib.Path(__file__).resolve().parent.parent

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from spectral_embed import manifold, radius
 from spectral_embed.manifold import (
     Circle, FlatTorus, MeshError, TriMesh, assemble_laplacian,
     load_mesh, make_analytic, make_sphere, make_torus_mesh, save_mesh)
@@ -137,6 +140,68 @@ def test_closedness_messages_name_the_smallest_bad_edge():
             TriMesh(mesh.vertices, faces, period=mesh.period)
         seen[name] = str(info.value)
     assert seen == CLOSEDNESS_MESSAGES
+
+
+# Two closed tetrahedra glued along the edge (0,1), so each direction of
+# that edge is used twice.  Rotating a face's corners moves its half-edges
+# around without changing the mesh.  A check that sorts the half-edges by
+# undirected edge alone and then only compares them in pairs (same edge,
+# opposite directions) accepts all but the first of these rotations.
+GLUED_VERTICES = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                           [0.5, -1, 0.2], [0.3, 0.2, -1]], dtype=float)
+GLUED_FACES = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2],
+                        [0, 4, 1], [0, 1, 5], [0, 5, 4], [1, 4, 5]])
+
+
+@pytest.mark.parametrize("rotations", [
+    (0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 0),
+    (1, 1, 2, 2, 0, 2, 1, 1), (2, 2, 2, 2, 1, 2, 2, 2)])
+def test_glued_edge_is_a_repeated_directed_edge(rotations):
+    faces = np.array([np.roll(f, r) for f, r in zip(GLUED_FACES, rotations)])
+    with pytest.raises(MeshError) as info:
+        TriMesh(GLUED_VERTICES, faces)
+    assert str(info.value) == ("non-closed mesh: directed edge (0,1)"
+                               + REPEATED)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(value):
+    mesh = make_sphere(1.0, 2)
+    vertices = mesh.vertices.copy()
+    vertices[[17, 40], 1] = value
+    with pytest.raises(MeshError,
+                       match="^non-finite coordinate at vertex 17$"):
+        TriMesh(vertices, mesh.faces)
+
+
+def test_repeated_corner_is_a_degenerate_triangle():
+    mesh = make_sphere(1.0, 1)
+    faces = mesh.faces.copy()
+    faces[7, 2] = faces[7, 0]
+    with pytest.raises(MeshError, match=(
+            r"^degenerate \(zero-area\) triangle at face 7$")):
+        TriMesh(mesh.vertices, faces)
+
+
+def test_edge_structure_is_derived_once(monkeypatch):
+    builds = []
+    build = TriMesh._build_edge_table
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(TriMesh, "_build_edge_table", counted)
+    mesh = make_sphere(1.0, 2)
+    mesh.edges()
+    mesh.edge_adjacency()
+    mesh.mean_edge_length()
+    mesh.tangent_frames()
+    mesh.distance_between([0, 3], [1, 2, 5])
+    radius.laplacian_bound_check(mesh, mesh.graph_distance_from(0), 1.0,
+                                 min_distance=0.2)
+    assert builds == [mesh]
+    assert "np.unique" not in inspect.getsource(manifold)
 
 
 class TestFaceSubsets:
@@ -301,12 +366,23 @@ class TestPointSetProtocol:
         assert np.array_equal(mesh.distance_from(41), stacked[2])
 
     def test_mesh_edge_adjacency(self):
-        mesh = make_sphere(1.0, 1)
-        edges, faces, opposite = mesh.edge_adjacency()
-        assert np.array_equal(edges, mesh.edges())
-        for (i, j), fpair, opair in zip(edges, faces, opposite):
-            for f, o in zip(fpair, opair):
-                assert sorted(mesh.faces[f]) == sorted([i, j, o])
+        for mesh in (make_sphere(1.0, 2),
+                     make_torus_mesh((1.0, 2.0), (12, 10))):
+            f = mesh.faces
+            directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]],
+                                       f[:, [2, 0]]])
+            reference = np.unique(np.sort(directed, axis=1), axis=0)
+            edges, faces, opposite = mesh.edge_adjacency()
+            assert np.array_equal(edges, reference)
+            assert np.array_equal(mesh.edges(), reference)
+            for (i, j), fpair, opair in zip(edges, faces, opposite):
+                for face, o in zip(fpair, opair):
+                    assert sorted(f[face]) == sorted([i, j, o])
+            # the half-edge opposite corner c of face i is c*F + i; the two
+            # halves of each edge come in increasing order
+            corner = np.argmax(f[faces] == opposite[..., None], axis=2)
+            half = corner * len(f) + faces
+            assert np.all(half[:, 0] < half[:, 1])
 
 
 class TestGeodesics:
