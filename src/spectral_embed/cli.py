@@ -137,16 +137,31 @@ def build_manifold(cfg):
         divisions = [int(x) for x in
                      cfg.get_floats("manifold.divisions", [64, 64])]
         return make_torus_mesh(tuple(periods), tuple(divisions))
+    if kind not in ("circle", "sphere", "torus"):
+        raise ConfigError(f"unknown manifold.kind {kind!r}")
+    samples = cfg.get_int("manifold.samples",
+                          {"circle": 2048, "sphere": 2000, "torus": 4096}[kind])
+    if samples < 1:
+        raise ConfigError(f"manifold.samples must be positive, got {samples}")
     if kind == "circle":
         return Circle(cfg.get_float("manifold.length", 2 * math.pi),
-                      samples=cfg.get_int("manifold.samples", 2048))
+                      samples=samples)
     if kind == "sphere":
-        return Sphere(cfg.get_float("manifold.radius", 1.0),
-                      samples=cfg.get_int("manifold.samples", 2000))
-    if kind == "torus":
-        return FlatTorus(tuple(cfg.get_floats("manifold.periods")),
-                         samples=cfg.get_int("manifold.samples", 4096))
-    raise ConfigError(f"unknown manifold.kind {kind!r}")
+        return Sphere(cfg.get_float("manifold.radius", 1.0), samples=samples)
+    return FlatTorus(tuple(cfg.get_floats("manifold.periods")),
+                     samples=samples)
+
+
+def build_spectrum(cfg, manifold, default_count):
+    """The first spectrum.count eigenpairs.  The count must lie below the
+    sample size: a mesh has no more eigenpairs, and on a closed-form sample
+    that many modes are linearly dependent."""
+    count = cfg.get_int("spectrum.count", default_count)
+    size = len(manifold.sample_points())
+    if not 1 <= count < size:
+        raise ConfigError(f"spectrum.count must lie in [1, {size}) for a "
+                          f"sample of {size} points, got {count}")
+    return compute_spectrum(manifold, count)
 
 
 def build_bounds(cfg, manifold):
@@ -175,8 +190,7 @@ def _write_summary(outdir, name, cfg, entries):
 
 def cmd_spectrum(cfg, outdir, seed, scan):
     man = build_manifold(cfg)
-    count = cfg.get_int("spectrum.count", 16)
-    spec = compute_spectrum(man, count)
+    spec = build_spectrum(cfg, man, 16)
     export_spectrum(spec, os.path.join(outdir, "spectrum"))
     _write_summary(outdir, "spectrum_report.txt", cfg, {
         "count": spec.count,
@@ -253,8 +267,17 @@ def _embedding_setup(cfg, seed):
         delta = cfg.get_float("embed.delta")
         if delta <= 0:
             raise ConfigError(f"embed.delta must be positive, got {delta!r}")
-    if cfg.get_int("embed.levels", 8) < 1:
+    levels = cfg.get_int("embed.levels", 8)
+    if levels < 1:
         raise ConfigError("embed.levels must be at least 1")
+    t_max = cfg.get_float("embed.t_max", 1.0)
+    if t_max <= 0:
+        raise ConfigError(f"embed.t_max must be positive, got {t_max!r}")
+    if t_max * 2.0 ** (1 - levels) == 0:
+        raise ConfigError(f"embed.levels = {levels} halves embed.t_max "
+                          "to 0")
+    if cfg.get_int("embed.pairs", 400) < 1:
+        raise ConfigError("embed.pairs must be at least 1")
     count = cfg.get_int("spectrum.count", 64)
     n_trunc = cfg.get_int("embed.n", count - 1)
     if not 0 <= n_trunc < count:
@@ -264,7 +287,7 @@ def _embedding_setup(cfg, seed):
     if delta is not None and delta < man.resolution():
         raise ConfigError(f"embed.delta = {delta!r} is below the sample "
                           f"resolution {man.resolution()!r}")
-    spec = compute_spectrum(man, count)
+    spec = build_spectrum(cfg, man, 64)
     ev = HeatEvaluator(spec, n_trunc)
     net = build_net(man, delta) if delta is not None else None
     eigencount = cfg.get_int("embed.eigencount", 3) if kind == "F" else None
@@ -298,14 +321,9 @@ def cmd_embed(cfg, outdir, seed, scan):
 
     emap = make_map(kind, evaluator=ev, net=net, manifold=man, t=t,
                     eigencount=eigencount)
-    if isinstance(man, TriMesh):
-        points = man.sample_points()
-    else:
-        points = man.sample_points()[:512]
-    export_embedding(emap, points, os.path.join(outdir, "embedding.csv"))
-    rows = [(i, r) for i, r in enumerate(rep.ratios)]
+    export_embedding(emap, os.path.join(outdir, "embedding.csv"))
     reporting.write_csv(os.path.join(outdir, "ratios.csv"),
-                        ["pair", "ratio"], rows)
+                        ["pair", "ratio"], enumerate(rep.ratios.tolist()))
 
     entries = dict(rep.summary())
     entries.update({"inj_margin": inj["margin"], "far_pairs": inj["pairs"],
@@ -337,7 +355,7 @@ def _pairs_at_distances(man, distances):
 
 def verify_varadhan(cfg, outdir, seed):
     man = build_manifold(cfg)
-    spec = compute_spectrum(man, cfg.get_int("spectrum.count", 700))
+    spec = build_spectrum(cfg, man, 700)
     ev = HeatEvaluator(spec, spec.count - 1)
     bounds = build_bounds(cfg, man)
     distances = cfg.get_floats("verify.distances", [0.5, 1.0, math.pi])
@@ -377,7 +395,7 @@ def verify_injectivity(cfg, outdir, seed):
 
 def verify_truncation(cfg, outdir, seed):
     man = build_manifold(cfg)
-    spec = compute_spectrum(man, cfg.get_int("spectrum.count", 200))
+    spec = build_spectrum(cfg, man, 200)
     bounds = build_bounds(cfg, man)
     rng = np.random.default_rng(seed)
     samples = cfg.get_int("verify.samples", 20)
@@ -416,7 +434,7 @@ def verify_counterexample(cfg, outdir, seed):
     if not (isinstance(man, FlatTorus) and man.dim == 2):
         raise ConfigError("counterexample verification needs a 2-D flat torus")
     gap = cfg.get_float("verify.gap", 100.0)
-    spec = compute_spectrum(man, cfg.get_int("spectrum.count", 40))
+    spec = build_spectrum(cfg, man, 40)
     ev = HeatEvaluator(spec, spec.count - 1)
     below = int(np.sum(spec.eigenvalues < gap - 1e-9)) - 1
     upto = int(np.sum(spec.eigenvalues <= gap + 1e-9)) - 1
@@ -444,7 +462,7 @@ def verify_counterexample(cfg, outdir, seed):
 
 def verify_decay(cfg, outdir, seed):
     man = build_manifold(cfg)
-    spec = compute_spectrum(man, cfg.get_int("spectrum.count", 200))
+    spec = build_spectrum(cfg, man, 200)
     ev = HeatEvaluator(spec, spec.count - 1)
     bounds = build_bounds(cfg, man)
     pairs = _pairs_at_distances(
@@ -463,7 +481,7 @@ def verify_decay(cfg, outdir, seed):
 
 def verify_growth(cfg, outdir, seed):
     man = build_manifold(cfg)
-    spec = compute_spectrum(man, cfg.get_int("spectrum.count", 64))
+    spec = build_spectrum(cfg, man, 64)
     bounds = build_bounds(cfg, man)
     rep = eigen_growth_check(spec, bounds)
     rows = [(int(k), lam, b, "yes" if a else "no",
@@ -534,6 +552,10 @@ def main(argv=None):
             return 2
     except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the config needs more memory than is available: "
+              f"{exc}", file=sys.stderr)
         return 2
     except (ValueError, EigensolverError, charts_mod.StabilityError,
             charts_mod.QuadratureBudgetError) as exc:

@@ -426,8 +426,17 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
     return results, best
 
 
-def export_embedding(emap, points, path):
-    image = evaluate_map(emap, points)
+EXPORT_ROWS = 512
+
+
+def export_embedding(emap, path):
+    """The map at an even stride through the canonical sample: at most
+    EXPORT_ROWS rows spread over the whole manifold.  The ``point`` column
+    is the sample index, which is the vertex id on a mesh."""
+    P = emap.manifold.sample_points()
+    stride = math.ceil(len(P) / EXPORT_ROWS)
+    image = evaluate_map(emap, P[::stride])
     header = ["point"] + [f"coord_{i + 1}" for i in range(image.shape[1])]
-    rows = [[i] + list(row) for i, row in enumerate(image)]
+    rows = [[i] + row for i, row in zip(range(0, len(P), stride),
+                                        image.tolist())]
     reporting.write_csv(path, header, rows)

@@ -52,8 +52,18 @@ def write_report(path, entries):
     atomic_write(path, format_report(entries))
 
 
+# Exact cell types whose report text is their own repr, as fmt writes it.
+_REPR = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
+
+
+def _cell(value, _repr=_REPR.get):
+    """fmt(value), skipping fmt's isinstance chain for exact floats and ints."""
+    return _repr(type(value), fmt)(value)
+
+
 def write_csv(path, header, rows):
+    """CSV with one fmt text per cell; hand bulk numpy data over as
+    ``.tolist()`` rows, whose Python floats and ints take the fast path."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")

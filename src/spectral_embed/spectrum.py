@@ -431,9 +431,9 @@ def export_spectrum(spectrum, directory):
     os.makedirs(directory, exist_ok=True)
     reporting.write_csv(os.path.join(directory, "eigenvalues.csv"),
                         ["k", "lambda"],
-                        list(enumerate(spectrum.eigenvalues)))
+                        enumerate(spectrum.eigenvalues.tolist()))
     values = spectrum.values(spectrum.manifold.sample_points())
     for k in range(spectrum.count):
         reporting.write_csv(
             os.path.join(directory, f"eigenfunction_{k:04d}.csv"),
-            ["vertex", "value"], list(enumerate(values[:, k])))
+            ["vertex", "value"], enumerate(values[:, k].tolist()))

@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_embed import charts as charts_mod
 from spectral_embed.cli import ConfigError, RunConfig, main
-from spectral_embed.manifold import make_sphere
+from spectral_embed.manifold import Circle, make_sphere
 from spectral_embed.spectrum import EigensolverError
 
 
@@ -137,6 +138,49 @@ class TestExitCodes:
         assert main(["embed", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("embed", "manifold.samples = 0", "manifold.samples must be positive"),
+        ("embed", "manifold.samples = -7", "manifold.samples must be positive"),
+        ("embed", "spectrum.count = 2048",
+         "spectrum.count must lie in [1, 2048) for a sample of 2048 points"),
+        ("spectrum", "spectrum.count = 0", "spectrum.count must lie in [1,"),
+        ("embed", "embed.levels = 1076", "embed.levels = 1076 halves"),
+        ("embed", "embed.t_max = 0", "embed.t_max must be positive"),
+        ("embed", "embed.pairs = 0", "embed.pairs must be at least 1"),
+        ("embed", "embed.pairs = -7", "embed.pairs must be at least 1"),
+    ])
+    def test_bad_size_input(self, tmp_path, capsys, monkeypatch, command,
+                            line, message):
+        from spectral_embed import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the sizes were checked")
+
+        monkeypatch.setattr(cli, "compute_spectrum", no_build)
+        monkeypatch.setattr(cli, "build_net", no_build)
+        key = line.split(" =")[0]
+        text = "".join(l + "\n" for l in CIRCLE_CFG.splitlines()
+                       if not l.startswith(key)) + line + "\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_config_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        from spectral_embed import cli
+
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "compute_spectrum", exhaust)
+        cfg = write_cfg(tmp_path, CIRCLE_CFG)
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "needs more memory than is available" in err
+        assert "Traceback" not in err
 
     def test_disconnected_mesh_input(self, tmp_path, capsys):
         ico = make_sphere(1.0, 1)
@@ -371,6 +415,56 @@ class TestExportSurfaces:
         assert main(["verify", "decay", "--config", cfg, "--out", out]) == 0
 
 
+class TestEmbeddingExport:
+    """embedding.csv holds at most 512 rows, an even stride through the
+    canonical sample; its point column is the sample index."""
+
+    @staticmethod
+    def exported_points(tmp_path, text):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["embed", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "embedding.csv").read_text().splitlines()[1:]
+        return [int(row.split(",", 1)[0]) for row in rows]
+
+    def test_icosphere_exports_every_other_vertex(self, tmp_path):
+        points = self.exported_points(
+            tmp_path, "manifold.kind = icosphere\nmanifold.subdivisions = 3\n"
+            "spectrum.count = 12\nembed.map = F\nembed.t = 0.05\n"
+            "embed.pairs = 40\n")
+        assert points == list(range(0, 642, 2))
+
+    def test_circle_rows_cover_the_circle(self, tmp_path):
+        points = self.exported_points(tmp_path, CIRCLE_CFG)
+        assert len(points) == 512
+        length = 2 * np.pi
+        angles = np.sort(Circle(length, 2048).sample_points()[points, 0])
+        gaps = np.diff(np.append(angles, angles[0] + length))
+        assert gaps.max() <= 2 * length / 512
+
+    def test_small_mesh_exports_every_vertex(self, tmp_path):
+        points = self.exported_points(
+            tmp_path, "manifold.kind = grid_torus\n"
+            "manifold.periods = 6.283185307179586,6.283185307179586\n"
+            "manifold.divisions = 24,20\nspectrum.count = 12\n"
+            "embed.map = F\nembed.t = 0.05\nembed.pairs = 40\n")
+        assert points == list(range(24 * 20))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def cli_env(**overrides):
+    """The environment of a CLI subprocess on this checkout's sources."""
+    env = dict(os.environ)
+    env.pop("SPECTRAL_EMBED_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    env.update(overrides)
+    return env
+
+
 def test_reports_follow_umask(tmp_path):
     from spectral_embed import reporting
     old = os.umask(0o022)
@@ -407,6 +501,27 @@ def test_scan_bytes_independent_of_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
+    # the same promise on a mesh, whose eigensolve (ARPACK with a sparse
+    # LU) and heat-kernel products run through the BLAS pool
+    cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
+                    "manifold.subdivisions = 3\nspectrum.count = 40\n"
+                    "embed.map = H\nembed.delta = 0.4\nembed.levels = 4\n")
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_embed.cli", "embed", "--scan",
+             "--config", cfg, "--out", str(out)],
+            env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert {"scan.csv", "embedding.csv", "ratios.csv"} <= set(trees[0])
+    assert trees[0] == trees[1]
+
+
 def test_thread_cap_applies_before_numpy_loads(tmp_path):
     # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -439,3 +554,56 @@ def test_shipped_configs_run(tmp_path):
     assert cfg.exists()
     assert main(["verify", "counterexample", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
+
+
+# The fuzzed CLI runs under an address-space cap, so a config too large for
+# memory fails fast in the child instead of crowding the machine.
+BOUNDED_CLI = (
+    "import resource, runpy\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "runpy.run_module('spectral_embed.cli', run_name='__main__')\n")
+FUZZ_MANIFOLDS = [
+    "manifold.kind = circle\n",
+    "manifold.kind = torus\n"
+    "manifold.periods = 6.283185307179586,6.283185307179586\n",
+    "manifold.kind = torus\n"
+    "manifold.periods = 6.283185307179586,0.6283185307179586\n",
+]
+EXTREME_INTS = [0, -1, -7, 10 ** 9, 10 ** 18, 2 ** 63]
+
+
+def fuzz_int(lo, hi):
+    return st.none() | st.sampled_from(EXTREME_INTS) | st.integers(lo, hi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(manifold=st.sampled_from(FUZZ_MANIFOLDS),
+       kind=st.sampled_from(["G", "H", "F", "kuratowski"]),
+       command=st.sampled_from([["embed"], ["embed", "--scan"], ["spectrum"],
+                                ["verify", "injectivity"]]),
+       values=st.fixed_dictionaries({
+           "spectrum.count": fuzz_int(1, 300),
+           "embed.n": fuzz_int(-2, 300),
+           "embed.levels": fuzz_int(1, 12),
+           "embed.pairs": fuzz_int(1, 500),
+           "manifold.samples": fuzz_int(1, 8000),
+           "embed.delta": st.none() | st.sampled_from(
+               [0.0, -1.0, 5e-324, 1e300]) | st.floats(0.01, 4.0)}))
+def test_any_config_exits_by_the_contract(manifold, kind, command, values):
+    # every input runs, fails a check or is rejected: exit 0, 1 or 2 within
+    # a time bound, never a traceback
+    import tempfile
+    text = manifold + f"embed.map = {kind}\n" + "".join(
+        f"{key} = {value}\n" for key, value in values.items()
+        if value is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", BOUNDED_CLI, *command, "--config", cfg,
+             "--out", os.path.join(tmp, "out")],
+            env=cli_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+            text=True, timeout=90)
+    assert proc.returncode in (0, 1, 2), (text, proc.stderr)
+    assert "Traceback" not in proc.stderr, (text, proc.stderr)
