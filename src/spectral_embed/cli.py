@@ -257,6 +257,14 @@ def cmd_charts(cfg, outdir, seed, scan):
     return ratios_ok and slope_ok
 
 
+def _check_pairs(cfg, default):
+    """embed.pairs, which must be at least 1."""
+    count = cfg.get_int("embed.pairs", default)
+    if count < 1:
+        raise ConfigError("embed.pairs must be at least 1")
+    return count
+
+
 def _embedding_setup(cfg, seed):
     kind = cfg.get("embed.map", "H")
     if kind not in MAP_KINDS:
@@ -276,8 +284,7 @@ def _embedding_setup(cfg, seed):
     if t_max * 2.0 ** (1 - levels) == 0:
         raise ConfigError(f"embed.levels = {levels} halves embed.t_max "
                           "to 0")
-    if cfg.get_int("embed.pairs", 400) < 1:
-        raise ConfigError("embed.pairs must be at least 1")
+    _check_pairs(cfg, 400)
     count = cfg.get_int("spectrum.count", 64)
     n_trunc = cfg.get_int("embed.n", count - 1)
     if not 0 <= n_trunc < count:
@@ -433,6 +440,7 @@ def verify_counterexample(cfg, outdir, seed):
     man = build_manifold(cfg)
     if not (isinstance(man, FlatTorus) and man.dim == 2):
         raise ConfigError("counterexample verification needs a 2-D flat torus")
+    m = _check_pairs(cfg, 32)
     gap = cfg.get_float("verify.gap", 100.0)
     spec = build_spectrum(cfg, man, 40)
     ev = HeatEvaluator(spec, spec.count - 1)
@@ -440,7 +448,6 @@ def verify_counterexample(cfg, outdir, seed):
     upto = int(np.sum(spec.eigenvalues <= gap + 1e-9)) - 1
     t = cfg.get_float("embed.t", 0.01)
     rng = np.random.default_rng(seed)
-    m = cfg.get_int("embed.pairs", 32)
     x1 = rng.uniform(0, man.periods[0], m)
     x2 = rng.uniform(0, man.periods[1], m)
     a_pts = np.column_stack([x1, x2])

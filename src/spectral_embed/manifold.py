@@ -755,12 +755,19 @@ class Sphere(AnalyticManifold):
 class _SphereBasis:
     """Real spherical harmonics, unit L2 norm on the radius-R sphere.
 
-    Every evaluation makes one `sph_harm_y_all` call per block of points,
-    up to the largest degree, and picks the complex harmonic Y_l^|m| of
-    each label (l, m) from it.
+    Every evaluation factors the complex harmonics as
+    Y_l^m(theta, phi) = P_l^m(theta) e^{i m phi}: per block of points, one
+    real `sph_legendre_p_all` call up to the largest degree and one
+    e^{i m phi} table for m = 0..L, whose product gives Y_l^m for m >= 0.
+    Each label (l, m) picks Y_l^|m| from it.  The values and derivatives
+    are bit for bit those of `scipy.special.sph_harm_y`, with one caveat:
+    from degree 23 on (seen up to 29), a zero derivative at an exact pole
+    can come out as -0.0 where scipy has +0.0, or the reverse.  Norms and
+    sup norms do not see the sign.
     """
 
-    # points per sph_harm_y_all call, which returns (L+1, 2L+1, block) arrays
+    # points per sph_legendre_p_all call, which returns (L+1, 2L+1, block)
+    # arrays per derivative order
     BLOCK = 256
 
     def __init__(self, sphere, lams, labels):
@@ -786,11 +793,16 @@ class _SphereBasis:
         """Real harmonics per label, (K, points); with `diff`, also their
         theta and phi derivatives."""
         L = int(self._ell.max())
+        m = np.arange(L + 1)[:, None]
+        # orders 0..L of every degree; the negative orders are never read
+        plm = scipy.special.sph_legendre_p_all(L, L, theta, diff_n=int(diff))
+        plm = plm[:, :, :L + 1]
+        e = np.exp(1j * m * phi)
+        fields = [plm[0] * e]
         if diff:
-            y, dy = scipy.special.sph_harm_y_all(L, L, theta, phi, diff_n=1)
-            fields = (y, dy[..., 0], dy[..., 1])
-        else:
-            fields = (scipy.special.sph_harm_y_all(L, L, theta, phi),)
+            # d/dphi written as plm (i m e) and `+ 0.0` on both derivatives
+            # reproduce scipy's rounding and its +0.0 at the poles
+            fields += [plm[1] * e + 0.0, plm[0] * (1j * m * e) + 0.0]
         imag, sign = self._imag[:, None], self._sign[:, None]
         picked = (f[self._ell, self._order] for f in fields)
         return [sign * np.where(imag, f.imag, f.real) for f in picked]

@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate as integrate
 import scipy.sparse.linalg as spla
 
 from .manifold import assemble_laplacian
+
+# scipy.integrate is imported inside model_volumes and abresch_gromoll, its
+# only users: imported here it would load scipy.optimize into every CLI run.
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,7 @@ def model_volumes(n, lam, r):
     The boundary volume is closed form; the ball volume integrates it with
     tight quadrature.
     """
+    import scipy.integrate as integrate
     if lam <= 0 or r <= 0:
         raise ValueError("lam and r must be positive")
     omega = solid_angle(n)
@@ -167,6 +170,7 @@ def abresch_gromoll(n, lam, big_r, r):
     In the model space its Laplacian is identically one; it decreases in r
     and vanishes at r = R.
     """
+    import scipy.integrate as integrate
     if not (0.0 <= r <= big_r):
         raise ValueError("need 0 <= r <= R")
     if r == big_r:

@@ -227,6 +227,22 @@ class TestExitCodes:
         assert "check failed: budget exhausted" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("pairs", [0, -7])
+    def test_counterexample_rejects_bad_pairs(self, tmp_path, capsys,
+                                              monkeypatch, pairs):
+        from spectral_embed import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before embed.pairs was checked")
+
+        monkeypatch.setattr(cli, "compute_spectrum", no_build)
+        with open(os.path.join(ROOT, "configs", "counterexample.cfg")) as fh:
+            text = fh.read() + f"embed.pairs = {pairs}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "counterexample", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "embed.pairs must be at least 1" in capsys.readouterr().err
+
     def test_counterexample_rejects_circle(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -522,6 +538,18 @@ def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_cli_import_leaves_quadrature_unloaded():
+    # scipy.integrate (and the scipy.optimize it pulls in) loads only when a
+    # radius constant needs quadrature, not with every CLI run
+    script = ("import sys, spectral_embed.cli\n"
+              "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+              " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_thread_cap_applies_before_numpy_loads(tmp_path):
     # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -580,7 +608,8 @@ def fuzz_int(lo, hi):
 @given(manifold=st.sampled_from(FUZZ_MANIFOLDS),
        kind=st.sampled_from(["G", "H", "F", "kuratowski"]),
        command=st.sampled_from([["embed"], ["embed", "--scan"], ["spectrum"],
-                                ["verify", "injectivity"]]),
+                                ["verify", "injectivity"],
+                                ["verify", "counterexample"]]),
        values=st.fixed_dictionaries({
            "spectrum.count": fuzz_int(1, 300),
            "embed.n": fuzz_int(-2, 300),

@@ -516,6 +516,12 @@ class TestSphereHarmonics:
 def _sph_reference(basis, P, gradients):
     """One scipy.special.sph_harm_y call per label, the per-label form the
     all-degree evaluation must reproduce bit for bit."""
+    vals, grads = _sph_reference_fields(basis, P)
+    return grads if gradients else vals
+
+
+def _sph_reference_fields(basis, P):
+    """Values (points, K) and gradients (points, K, 3) of `_sph_reference`."""
     import scipy.special
     R = basis.manifold.radius
     theta, phi = basis._angles(P)
@@ -535,12 +541,13 @@ def _sph_reference(basis, P, gradients):
         dth, dph = s * pick(dy[..., 0]), s * pick(dy[..., 1])
         grads[:, k, :] = (dth[:, None] * theta_hat
                           + (dph / sin_t)[:, None] * phi_hat) / R ** 2
-    return grads if gradients else vals
+    return vals, grads
 
 
 class TestSphereAllDegrees:
-    # 1: the constant alone; 40: splits the l = 6 band; 225: l = 0..14
-    @pytest.mark.parametrize("count", [1, 40, 225])
+    # 1: the constant alone; 40: splits the l = 6 band; 225: l = 0..14;
+    # 400: l = 0..19, the benchmark's sphere_sup_bounds basis
+    @pytest.mark.parametrize("count", [1, 40, 225, 400])
     def test_values_and_gradients_match_per_label_calls(self, count):
         s = make_analytic("sphere", radius=1.3)
         basis = s.eigenbasis(count)
@@ -553,6 +560,17 @@ class TestSphereAllDegrees:
         got = basis.gradients(P)
         ref = _sph_reference(basis, P, True)
         assert got.tobytes() == ref.tobytes()
+
+    def test_sup_norms_match_per_label_calls(self):
+        s = make_analytic("sphere", radius=1.0)
+        basis = s.eigenbasis(400)
+        P = s.sample_points()
+        assert len(P) == 2000
+        vals, grads = _sph_reference_fields(basis, P)
+        sup = np.abs(vals).max(axis=0)
+        gsup = np.linalg.norm(grads, axis=2).max(axis=0)
+        assert basis.sup_norms().tobytes() == sup.tobytes()
+        assert basis.grad_sup_norms().tobytes() == gsup.tobytes()
 
     def test_sup_norms_computed_once(self):
         s = make_analytic("sphere", radius=1.0, samples=300)
