@@ -152,16 +152,22 @@ def build_manifold(cfg):
                      samples=samples)
 
 
-def build_spectrum(cfg, manifold, default_count):
-    """The first spectrum.count eigenpairs.  The count must lie below the
-    sample size: a mesh has no more eigenpairs, and on a closed-form sample
-    that many modes are linearly dependent."""
+def _check_count(cfg, manifold, default_count):
+    """spectrum.count, which must lie below the sample size: a mesh has no
+    more eigenpairs, and on a closed-form sample that many modes are
+    linearly dependent."""
     count = cfg.get_int("spectrum.count", default_count)
     size = len(manifold.sample_points())
     if not 1 <= count < size:
         raise ConfigError(f"spectrum.count must lie in [1, {size}) for a "
                           f"sample of {size} points, got {count}")
-    return compute_spectrum(manifold, count)
+    return count
+
+
+def build_spectrum(cfg, manifold, default_count):
+    """The first spectrum.count eigenpairs."""
+    return compute_spectrum(manifold,
+                            _check_count(cfg, manifold, default_count))
 
 
 def build_bounds(cfg, manifold):
@@ -258,10 +264,13 @@ def cmd_charts(cfg, outdir, seed, scan):
 
 
 def _check_pairs(cfg, default):
-    """embed.pairs, which must be at least 1."""
+    """embed.pairs, which must be at least 1 and fit an array size."""
     count = cfg.get_int("embed.pairs", default)
     if count < 1:
         raise ConfigError("embed.pairs must be at least 1")
+    if count > np.iinfo(np.intp).max:
+        raise ConfigError(f"embed.pairs must be at most "
+                          f"{np.iinfo(np.intp).max}, got {count}")
     return count
 
 
@@ -294,15 +303,17 @@ def _embedding_setup(cfg, seed):
     if delta is not None and delta < man.resolution():
         raise ConfigError(f"embed.delta = {delta!r} is below the sample "
                           f"resolution {man.resolution()!r}")
-    spec = build_spectrum(cfg, man, 64)
-    ev = HeatEvaluator(spec, n_trunc)
+    _check_count(cfg, man, 64)
+    # the kuratowski map reads distances only: no spectrum to solve
+    ev = (None if kind == "kuratowski"
+          else HeatEvaluator(compute_spectrum(man, count), n_trunc))
     net = build_net(man, delta) if delta is not None else None
     eigencount = cfg.get_int("embed.eigencount", 3) if kind == "F" else None
-    return man, ev, net, kind, eigencount
+    return man, ev, net, kind, eigencount, n_trunc
 
 
 def cmd_embed(cfg, outdir, seed, scan):
-    man, ev, net, kind, eigencount = _embedding_setup(cfg, seed)
+    man, ev, net, kind, eigencount, n_trunc = _embedding_setup(cfg, seed)
     h_near = cfg.get_float("embed.h_near", default_h_near(man))
     h_far = cfg.get_float("embed.h_far", default_h_far(man))
     count = cfg.get_int("embed.pairs", 400)
@@ -336,7 +347,7 @@ def cmd_embed(cfg, outdir, seed, scan):
     entries.update({"inj_margin": inj["margin"], "far_pairs": inj["pairs"],
                     "h_far": inj["h_far"],
                     "t_used": t, "delta": net.delta if net else "none",
-                    "n_trunc": ev.n_trunc,
+                    "n_trunc": n_trunc,
                     "n_0": len(net) if net else 0})
     _write_summary(outdir, "embed_report.txt", cfg, entries)
 
@@ -386,7 +397,7 @@ def verify_isometry(cfg, outdir, seed):
 
 
 def verify_injectivity(cfg, outdir, seed):
-    man, ev, net, kind, eigencount = _embedding_setup(cfg, seed)
+    man, ev, net, kind, eigencount, _ = _embedding_setup(cfg, seed)
     t = cfg.get_float("embed.t", 0.05)
     emap = make_map(kind, evaluator=ev, net=net, manifold=man, t=t,
                     eigencount=eigencount)

@@ -21,11 +21,17 @@ from . import reporting
 
 @dataclass(frozen=True)
 class Net:
-    """Ordered sample points with covering radius delta and cell weights."""
+    """Ordered sample points with covering radius delta and cell weights.
+
+    `fields` holds each net point's distance field over the canonical
+    sample, (len(points), sample size), when the net was built by
+    `build_net`.
+    """
 
     points: np.ndarray
     delta: float
     weights: np.ndarray
+    fields: np.ndarray = None
 
     def __len__(self):
         return len(self.points)
@@ -57,10 +63,11 @@ def build_net(manifold, delta, seed_point=None):
         mind = np.minimum(mind, fields[-1])
     points = np.array(chosen)
 
-    weights, covering = _voronoi(manifold, np.stack(fields))
+    fields = np.stack(fields)
+    weights, covering = _voronoi(manifold, fields)
     if covering > delta * (1 + 1e-9):
         raise ValueError("covering radius exceeds delta after sampling")
-    return Net(points, float(delta), weights)
+    return Net(points, float(delta), weights, fields)
 
 
 def _voronoi(manifold, fields):
@@ -109,6 +116,7 @@ class EmbeddingMap:
     evaluator: HeatEvaluator = None
     manifold: object = None
     net_points: np.ndarray = None
+    net_fields: np.ndarray = None  # kuratowski on a mesh: the net's fields
     component_weights: np.ndarray = None  # sqrt cell masses for H
     eigencount: int = None
 
@@ -140,8 +148,13 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
     if kind == "kuratowski":
         if manifold is None or net is None:
             raise ValueError("kuratowski map needs a manifold and a net")
+        # Mesh points are sample indices, so the net's fields already hold
+        # every distance the map reads.  Closed-form backends measure: they
+        # run no search, and the sphere's P @ Q.T can round a one-row call
+        # differently from the stacked one.
+        fields = net.fields if isinstance(manifold, TriMesh) else None
         return EmbeddingMap(kind, "max", 1.0, manifold=manifold,
-                            net_points=net.points)
+                            net_points=net.points, net_fields=fields)
     if t is None or t <= 0:
         raise ValueError("heat-kernel maps need t > 0")
     man = evaluator.manifold
@@ -165,11 +178,14 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
 def map_features(emap, points):
     """The part of the map at `points` that does not depend on t.
 
-    Distances to the net points for ``kuratowski``; eigenfunction values
-    for the heat-kernel maps (phi_1 .. phi_m for ``F``, phi_0 .. phi_N for
-    ``G`` and ``H``, which also need them at the net points).
+    Distances to the net points for ``kuratowski`` (columns of the net's
+    fields on a mesh); eigenfunction values for the heat-kernel maps
+    (phi_1 .. phi_m for ``F``, phi_0 .. phi_N for ``G`` and ``H``, which
+    also need them at the net points).
     """
     if emap.kind == "kuratowski":
+        if emap.net_fields is not None:
+            return emap.net_fields[:, np.asarray(points, dtype=int)].T
         return emap.manifold.distance_between(emap.net_points, points).T
     if emap.kind == "F":
         sp = emap.evaluator.spectrum
@@ -214,8 +230,9 @@ def image_distance(emap, fx, fy):
 # Pair sampling
 # ---------------------------------------------------------------------------
 
-def _source_fields(manifold, size, rng):
-    """Canonical sample, distinct random source rows and their fields.
+def _source_fields(manifold, size, rng, limit=np.inf):
+    """Canonical sample, distinct random source rows and their fields,
+    which may be inf beyond `limit`.
 
     A source's own column is zeroed: closed-form distances can leave
     roundoff there (arccos on the sphere), and a point is no pair with
@@ -223,7 +240,7 @@ def _source_fields(manifold, size, rng):
     """
     P = manifold.sample_points()
     sources = rng.choice(len(P), size=min(size, len(P)), replace=False)
-    fields = manifold.distance_between(P[sources], P)
+    fields = manifold.distance_between(P[sources], P, limit=limit)
     fields[np.arange(len(sources)), sources] = 0.0
     return P, sources, fields
 
@@ -231,7 +248,7 @@ def _source_fields(manifold, size, rng):
 def sample_near_pairs(manifold, h_near, count, rng):
     """Pairs of canonical sample points with geodesic separation in
     (0, h_near], drawn around up to 64 random sources."""
-    P, sources, fields = _source_fields(manifold, 64, rng)
+    P, sources, fields = _source_fields(manifold, 64, rng, limit=h_near)
     rows, cols = np.nonzero((fields > 0) & (fields <= h_near))
     if not rows.size:
         raise ValueError("no pairs within h_near")
@@ -299,8 +316,6 @@ def default_h_near(manifold):
 
 
 def default_h_far(manifold):
-    if isinstance(manifold, TriMesh):
-        return manifold.diameter_estimate() / 8.0
     return manifold.diameter() / 8.0
 
 

@@ -320,10 +320,14 @@ class TriMesh:
     def distance_from(self, source):
         return self.graph_distance_from(source)
 
-    def distance_between(self, P, Q):
-        """Graph distances, (len(P), len(Q)), from one multi-source search."""
+    def distance_between(self, P, Q, limit=np.inf):
+        """Graph distances, (len(P), len(Q)), from one multi-source search.
+
+        The search stops at `limit`: entries beyond it are inf.
+        """
         fields = csgraph.dijkstra(self._distance_graph, directed=False,
-                                  indices=np.atleast_1d(np.asarray(P, int)))
+                                  indices=np.atleast_1d(np.asarray(P, int)),
+                                  limit=limit)
         return fields[:, np.asarray(Q, dtype=int)]
 
     def sample_points(self):
@@ -336,10 +340,15 @@ class TriMesh:
     def tangent_frame(self, p):
         return self.tangent_frames()[int(p)]
 
-    def diameter_estimate(self):
+    def diameter(self):
+        """Double-sweep estimate: the eccentricity of the vertex farthest
+        from vertex 0, a lower bound on the graph diameter."""
         field = self.graph_distance_from(0)
         far = int(np.argmax(field))
         return float(self.graph_distance_from(far).max())
+
+    # the former name; perfbench/tracer.py still wraps the method by it
+    diameter_estimate = diameter
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +513,12 @@ class AnalyticManifold:
 
     kind = None
 
-    def distance_between(self, P, Q):
-        """Pairwise geodesic distances, (len(P), len(Q))."""
+    def distance_between(self, P, Q, limit=np.inf):
+        """Pairwise geodesic distances, (len(P), len(Q)).
+
+        `limit` is accepted for the point-set protocol and ignored: exact
+        distances cost the same at any range, so every entry is finite.
+        """
         raise NotImplementedError
 
     def distance(self, P, Q):
@@ -558,7 +571,7 @@ class FlatTorus(AnalyticManifold):
     def wrap(self, disp):
         return disp - self.periods * np.round(disp / self.periods)
 
-    def distance_between(self, P, Q):
+    def distance_between(self, P, Q, limit=np.inf):
         disp = np.atleast_2d(P)[:, None, :] - np.atleast_2d(Q)[None, :, :]
         return np.linalg.norm(self.wrap(disp), axis=-1)
 
@@ -704,7 +717,7 @@ class Sphere(AnalyticManifold):
         return self.radius * np.column_stack([r * np.cos(phi),
                                               r * np.sin(phi), z])
 
-    def distance_between(self, P, Q):
+    def distance_between(self, P, Q, limit=np.inf):
         P, Q = np.atleast_2d(P), np.atleast_2d(Q)
         cosang = (P @ Q.T) / self.radius ** 2
         return self.radius * np.arccos(np.clip(cosang, -1.0, 1.0))

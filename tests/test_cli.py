@@ -243,6 +243,22 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert "embed.pairs must be at least 1" in capsys.readouterr().err
 
+    def test_counterexample_rejects_pairs_beyond_array_size(
+            self, tmp_path, capsys, monkeypatch):
+        from spectral_embed import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before embed.pairs was checked")
+
+        monkeypatch.setattr(cli, "compute_spectrum", no_build)
+        with open(os.path.join(ROOT, "configs", "counterexample.cfg")) as fh:
+            text = fh.read() + f"embed.pairs = {2 ** 63}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "counterexample", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"embed.pairs must be at most {2 ** 63 - 1}" in err
+
     def test_counterexample_rejects_circle(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -465,6 +481,63 @@ class TestEmbeddingExport:
             "manifold.divisions = 24,20\nspectrum.count = 12\n"
             "embed.map = F\nembed.t = 0.05\nembed.pairs = 40\n")
         assert points == list(range(24 * 20))
+
+
+ICOSPHERE3_KURATOWSKI = ("manifold.kind = icosphere\n"
+                         "manifold.subdivisions = 3\nspectrum.count = 40\n"
+                         "embed.map = kuratowski\nembed.delta = 0.4\n"
+                         "embed.levels = 3\n")
+
+
+class TestKuratowskiRuns:
+    """The Kuratowski map reads distances only: it solves no spectrum, and
+    on a mesh it reads the net's own distance fields."""
+
+    def test_mesh_scan_solves_no_spectrum(self, tmp_path, monkeypatch):
+        from spectral_embed import cli, manifold
+
+        def no_solve(*args, **kwargs):
+            raise EigensolverError("no eigensolve expected")
+
+        sources = []
+        dijkstra = manifold.csgraph.dijkstra
+
+        def counting(*args, indices=None, **kwargs):
+            sources.append(np.size(indices))
+            return dijkstra(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_spectrum", no_solve)
+        monkeypatch.setattr(manifold.csgraph, "dijkstra", counting)
+        cfg = write_cfg(tmp_path, ICOSPHERE3_KURATOWSKI)
+        out = tmp_path / "out"
+        assert main(["embed", "--scan", "--config", cfg,
+                     "--out", str(out)]) == 0
+        report = dict(line.split("=", 1) for line in
+                      (out / "embed_report.txt").read_text().splitlines())
+        assert report["n_trunc"] == "39"  # the config's spectrum.count - 1
+        # one search per net point, the 64 near and 32 far pair sources,
+        # and the diameter's two sweeps for the default h_far
+        assert sum(sources) == int(report["n_0"]) + 64 + 32 + 2
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "embed.n must lie in [0, spectrum.count = 0)"),
+        (642, "spectrum.count must lie in [1, 642) for a sample of 642"),
+        (700, "spectrum.count must lie in [1, 642) for a sample of 642"),
+    ])
+    def test_spectrum_count_still_checked(self, tmp_path, capsys, monkeypatch,
+                                          count, message):
+        from spectral_embed import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before spectrum.count was checked")
+
+        monkeypatch.setattr(cli, "compute_spectrum", no_build)
+        monkeypatch.setattr(cli, "build_net", no_build)
+        cfg = write_cfg(tmp_path, ICOSPHERE3_KURATOWSKI.replace(
+            "spectrum.count = 40", f"spectrum.count = {count}"))
+        assert main(["embed", "--scan", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -10,8 +10,9 @@ from spectral_embed.spectrum import Spectrum, compute_spectrum
 from spectral_embed.heat import HeatEvaluator
 from spectral_embed.embed import (
     Net, build_net, continuous_dilatation, dilatation_report, evaluate_map,
-    image_distance, injectivity_report, make_map, map_scale, replicate_net,
-    sample_far_pairs, sample_near_pairs, scan_embedding, voronoi_weights)
+    image_distance, injectivity_report, make_map, map_features, map_scale,
+    replicate_net, sample_far_pairs, sample_near_pairs, scan_embedding,
+    voronoi_weights)
 
 
 CIRCLE = Circle(2 * np.pi, samples=4096)
@@ -173,6 +174,26 @@ class TestEvaluateMap:
         k = make_map("kuratowski", manifold=CIRCLE, net=net)
         img = evaluate_map(k, np.array([[0.0]]))
         assert np.allclose(img, [[0.0, np.pi]])
+
+    @pytest.mark.parametrize("mesh, delta", [
+        (make_sphere(1.0, 3), 0.4),
+        (make_torus_mesh((2 * np.pi, 2 * np.pi), (24, 20)), 0.9)],
+        ids=["icosphere3", "grid_torus"])
+    def test_mesh_kuratowski_features_are_the_net_fields(self, mesh, delta):
+        # a mesh net keeps its distance fields and the map reads them
+        net = build_net(mesh, delta)
+        P = mesh.sample_points()
+        assert np.array_equal(net.fields, mesh.distance_between(net.points, P))
+        k = make_map("kuratowski", manifold=mesh, net=net)
+        pts = np.random.default_rng(4).permutation(P)[:100]
+        want = mesh.distance_between(net.points, pts).T
+        got = map_features(k, pts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # a net built without fields falls back to the distance query
+        bare = make_map("kuratowski", manifold=mesh,
+                        net=Net(net.points, net.delta, net.weights))
+        assert map_features(bare, pts).tobytes() == want.tobytes()
 
     def test_map_kind_validation(self, circle_ev):
         with pytest.raises(ValueError):
@@ -449,12 +470,21 @@ def test_scan_needs_a_level(circle_ev, fine_net):
         scan_embedding("G", evaluator=circle_ev, net=fine_net, levels=0)
 
 
-@pytest.mark.parametrize("mesh", [make_sphere(1.0, 2),
-                                  make_torus_mesh((2 * np.pi, 2 * np.pi),
-                                                  (16, 16))],
-                         ids=["icosphere2", "grid_torus"])
-def test_mesh_pairs_match_one_field_per_source(mesh):
-    # one graph_distance_from per source, vertices appended one at a time
+ICOSPHERE3 = make_sphere(1.0, 3)
+GRID_TORUS_24X20 = make_torus_mesh((2 * np.pi, np.pi), (24, 20))
+
+
+@pytest.mark.parametrize(
+    "mesh, seed",
+    [(make_sphere(1.0, 2), 5),
+     (make_torus_mesh((2 * np.pi, 2 * np.pi), (16, 16)), 5)]
+    + [(ICOSPHERE3, seed) for seed in (0, 3, 11)]
+    + [(GRID_TORUS_24X20, seed) for seed in (1, 7)],
+    ids=["icosphere2", "grid_torus", "icosphere3-0", "icosphere3-3",
+         "icosphere3-11", "grid_torus_24x20-1", "grid_torus_24x20-7"])
+def test_mesh_pairs_match_one_field_per_source(mesh, seed):
+    # one unbounded graph_distance_from per source, vertices appended one
+    # at a time; the near sampler's search stops at h_near
     def near_reference(h_near, count, rng):
         nv = len(mesh.vertices)
         xs, ys, ds = [], [], []
@@ -486,13 +516,14 @@ def test_mesh_pairs_match_one_field_per_source(mesh):
 
     h_near = 4 * mesh.resolution()
     # a threshold most vertices miss, so some sources keep fewer than `per`
-    h_far = 0.8 * mesh.diameter_estimate()
+    h_far = 0.8 * mesh.diameter()
     for count in (1, 37, 400):
         for sampler, reference, h in ((sample_near_pairs, near_reference,
                                        h_near),
                                       (sample_far_pairs, far_reference,
                                        h_far)):
-            rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
             got = sampler(mesh, h, count, rng_a)
             ref = reference(h, count, rng_b)
             for a, b in zip(got, ref):
