@@ -6,6 +6,7 @@ section keys.  Exit codes: 0 all checks pass, 1 assertion failure,
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -26,6 +27,12 @@ from .embed import (MAP_KINDS, build_net, make_map, evaluate_map,
                     export_embedding)
 from . import charts as charts_mod
 from .radius import constants_sweep
+
+
+# The most float64 values one array can hold.  Above it numpy cannot even
+# state the byte size and raises ValueError, not MemoryError, so size keys
+# are capped here and anything below reaches the out-of-memory exit.
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 class ConfigError(ValueError):
@@ -227,9 +234,38 @@ def cmd_constants(cfg, outdir, seed, scan):
 
 
 def cmd_charts(cfg, outdir, seed, scan):
-    nodes = [int(x) for x in cfg.get_floats("charts.nodes", [41, 81, 161])]
+    nodes = cfg.get_floats("charts.nodes", [41, 81, 161])
+    if len(nodes) < 2 or not all(v == int(v) and 3 <= v <= MAX_FLOATS
+                                 for v in nodes):
+        raise ConfigError(f"charts.nodes must list at least 2 integers in "
+                          f"[3, {MAX_FLOATS}], got {nodes}")
+    nodes = [int(v) for v in nodes]
     t_max = cfg.get_float("charts.t_max", 0.25)
     steps = cfg.get_int("charts.steps", 1024)
+    qs = cfg.get_floats("charts.q_list", [0.02, 0.04, 0.08])
+    sweep_nodes = cfg.get_int("charts.sweep_nodes", 401)
+    sweep_steps = cfg.get_int("charts.sweep_steps", 512)
+    bump_width = cfg.get_float("charts.bump_width", 2.0)
+    if not 3 <= sweep_nodes <= MAX_FLOATS:
+        raise ConfigError(f"charts.sweep_nodes must lie in [3, {MAX_FLOATS}]"
+                          f", got {sweep_nodes}")
+    for key, value in (("charts.steps", steps),
+                       ("charts.sweep_steps", sweep_steps)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    for key, value in (("charts.t_max", t_max),
+                       ("charts.bump_width", bump_width)):
+        if value <= 0:
+            raise ConfigError(f"{key} must be positive, got {value!r}")
+    if t_max / steps == 0:
+        raise ConfigError(f"charts.t_max = {t_max!r} over charts.steps = "
+                          f"{steps} gives a time step of 0")
+    # the sweep fits a log-log slope through the Q - 1 values, and each
+    # must leave Q = 1 + (Q - 1) above 1
+    if len(set(qs)) < 2 or 1.0 + min(qs) <= 1.0:
+        raise ConfigError(f"charts.q_list must list at least 2 distinct "
+                          f"values Q - 1 with 1 < Q, got {qs}")
+
     errors, ratios = charts_mod.convergence_study(nodes, t_max=t_max,
                                                   steps=steps)
     reference = charts_mod.solve_fd_kernel(
@@ -237,12 +273,8 @@ def cmd_charts(cfg, outdir, seed, scan):
         steps=steps, store_every=max(1, steps // 8))
     charts_mod.export_grid_kernel(reference,
                                   os.path.join(outdir, "kernel.csv"))
-    qs = cfg.get_floats("charts.q_list", [0.02, 0.04, 0.08])
-    sweep_nodes = cfg.get_int("charts.sweep_nodes", 401)
-    sweep_steps = cfg.get_int("charts.sweep_steps", 512)
     sups, grads, slope = charts_mod.ellipticity_sweep(
-        qs, nodes=sweep_nodes, steps=sweep_steps,
-        bump_width=cfg.get_float("charts.bump_width", 2.0))
+        qs, nodes=sweep_nodes, steps=sweep_steps, bump_width=bump_width)
 
     ratio_lo = cfg.get_float("charts.ratio_lo", 3.0)
     ratio_hi = cfg.get_float("charts.ratio_hi", 5.0)
@@ -257,20 +289,23 @@ def cmd_charts(cfg, outdir, seed, scan):
     for i, r in enumerate(ratios):
         entries[f"conv_ratio_{i}"] = r
     for q, s, g in zip(qs, sups, grads):
-        entries[f"sweep_sup_q{str(q).replace('.', 'p')}"] = s
-        entries[f"sweep_grad_q{str(q).replace('.', 'p')}"] = g
+        # 0.02 -> q0p02, 1e-05 -> q1em05, 1e+300 -> q1e300
+        label = str(q).replace(".", "p").replace("-", "m").replace("+", "")
+        entries[f"sweep_sup_q{label}"] = s
+        entries[f"sweep_grad_q{label}"] = g
     _write_summary(outdir, "charts_report.txt", cfg, entries)
     return ratios_ok and slope_ok
 
 
 def _check_pairs(cfg, default):
-    """embed.pairs, which must be at least 1 and fit an array size."""
+    """embed.pairs, which must be at least 1 and small enough that its
+    (pairs, 2) float point arrays have a byte size numpy can describe."""
     count = cfg.get_int("embed.pairs", default)
     if count < 1:
         raise ConfigError("embed.pairs must be at least 1")
-    if count > np.iinfo(np.intp).max:
-        raise ConfigError(f"embed.pairs must be at most "
-                          f"{np.iinfo(np.intp).max}, got {count}")
+    if count > MAX_FLOATS // 2:
+        raise ConfigError(f"embed.pairs must be at most {MAX_FLOATS // 2}, "
+                          f"got {count}")
     return count
 
 
@@ -308,6 +343,9 @@ def _embedding_setup(cfg, seed):
     ev = (None if kind == "kuratowski"
           else HeatEvaluator(compute_spectrum(man, count), n_trunc))
     net = build_net(man, delta) if delta is not None else None
+    if net is not None and kind != "kuratowski":
+        # only the kuratowski map reads the net's distance fields
+        net = dataclasses.replace(net, fields=None)
     eigencount = cfg.get_int("embed.eigencount", 3) if kind == "F" else None
     return man, ev, net, kind, eigencount, n_trunc
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+from spectral_embed import charts
 from spectral_embed.charts import (
     ChartSpec, bump_chart, closeness_report, constant_chart,
     convergence_study, ellipticity_sweep, euclidean_kernel,
@@ -113,6 +116,83 @@ class TestChartSpec:
         assert mollifier(np.array([0.0]))[0] == pytest.approx(1.0)
         assert mollifier(np.array([1.0]))[0] == 0.0
         assert mollifier(np.array([2.0]))[0] == 0.0
+
+
+def dense_holder_seminorm(values, points, alpha):
+    """The all-pairs reference: full (n, n) difference and distance matrices."""
+    values = np.asarray(values, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[0] != len(values):
+        points = points.T
+    diff = np.abs(values[:, None] - values[None, :])
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    mask = dist > 0
+    return float((diff[mask] / dist[mask] ** alpha).max())
+
+
+class TestHolderSeminorm:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, charts.HOLDER_BLOCK + 1])
+    def test_blocks_equal_dense_pairs(self, dim, extra):
+        n = charts.HOLDER_BLOCK + extra
+        rng = np.random.default_rng(100 * dim + extra)
+        pts = rng.normal(size=(n, dim))
+        # repeated points: pairs at distance 0 are masked out
+        pts[n // 2] = pts[0]
+        pts[-1] = pts[1]
+        vals = rng.normal(size=n)
+        for alpha in (0.3, 0.5, 1.0):
+            got = holder_seminorm(vals, pts, alpha)
+            assert got == dense_holder_seminorm(vals, pts, alpha)
+            assert got == holder_seminorm(vals[::-1], pts[::-1], alpha)
+
+    def test_transposed_points(self):
+        xs = np.linspace(-1.0, 1.0, charts.HOLDER_BLOCK + 7)
+        vals = np.sin(3.0 * xs)
+        assert holder_seminorm(vals, xs, 0.5) == \
+            dense_holder_seminorm(vals, xs[:, None], 0.5)
+
+    def test_no_pair_at_positive_distance_raises(self):
+        with pytest.raises(ValueError):
+            holder_seminorm([1.0, 2.0, 3.0], np.zeros((3, 2)), 0.5)
+
+    def test_bump_profile_memory(self):
+        xs = np.linspace(-8.0, 8.0, 2001)
+        ref = mollifier(xs / 2.0)
+        tracemalloc.start()
+        try:
+            value = holder_seminorm(ref, xs[:, None], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == dense_holder_seminorm(ref, xs[:, None], 0.5)
+        assert peak <= 16 * 2 ** 20
+
+    def test_sweep_scans_pairs_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return holder_seminorm(*args)
+
+        monkeypatch.setattr(charts, "holder_seminorm", counted)
+        charts._bump_profile.cache_clear()
+        try:
+            ellipticity_sweep([0.02, 0.04, 0.08], nodes=81, steps=32)
+        finally:
+            charts._bump_profile.cache_clear()
+        assert 1 <= len(calls) <= 2
+        assert calls[0] == 2001
+
+    # [a]_alpha of bump_chart(1, q) as computed with dense pair matrices
+    @pytest.mark.parametrize("q, seminorm", [
+        (1.02, "0x1.0b600d134a090p-6"),
+        (1.04, "0x1.0b600d134a090p-5"),
+        (1.08, "0x1.0b600d134a090p-4"),
+    ])
+    def test_bump_seminorm_unchanged(self, q, seminorm):
+        charts._bump_profile.cache_clear()
+        assert bump_chart(1, q).seminorm == float.fromhex(seminorm)
 
 
 @pytest.fixture(scope="module")

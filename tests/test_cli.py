@@ -257,7 +257,69 @@ class TestExitCodes:
         assert main(["verify", "counterexample", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert f"embed.pairs must be at most {2 ** 63 - 1}" in err
+        assert f"embed.pairs must be at most {2 ** 59 - 1}" in err
+
+    def test_counterexample_rejects_pairs_beyond_byte_size(self, tmp_path):
+        # 2^62 pairs fit an index but not the byte size of their (pairs, 2)
+        # float arrays, which numpy reports as a ValueError
+        with open(os.path.join(ROOT, "configs", "counterexample.cfg")) as fh:
+            text = fh.read() + f"embed.pairs = {2 ** 62}\n"
+        cfg = write_cfg(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_embed.cli", "verify",
+             "counterexample", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert f"embed.pairs must be at most {2 ** 59 - 1}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("line, message", [
+        ("charts.steps = 0", "charts.steps must be at least 1"),
+        ("charts.sweep_steps = 0", "charts.sweep_steps must be at least 1"),
+        ("charts.nodes = 2,3", "charts.nodes must list at least 2 integers"),
+        ("charts.nodes = 161", "charts.nodes must list at least 2 integers"),
+        ("charts.nodes = 41,161.5",
+         "charts.nodes must list at least 2 integers"),
+        ("charts.nodes = 41,1e300",
+         "charts.nodes must list at least 2 integers"),
+        ("charts.sweep_nodes = 2", "charts.sweep_nodes must lie in [3,"),
+        (f"charts.sweep_nodes = {2 ** 62}",
+         "charts.sweep_nodes must lie in [3,"),
+        ("charts.t_max = 0", "charts.t_max must be positive"),
+        ("charts.t_max = 5e-324", "gives a time step of 0"),
+        ("charts.bump_width = 0", "charts.bump_width must be positive"),
+        ("charts.q_list = 0.04", "charts.q_list must list at least 2"),
+        ("charts.q_list = 0.02,0.02", "charts.q_list must list at least 2"),
+        ("charts.q_list = 0.02,-0.04", "charts.q_list must list at least 2"),
+        ("charts.q_list = 0,0.04", "charts.q_list must list at least 2"),
+        ("charts.q_list = 1e-17,0.04", "charts.q_list must list at least 2"),
+    ])
+    def test_bad_charts_input(self, tmp_path, capsys, monkeypatch, line,
+                              message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the charts inputs were "
+                                 "checked")
+
+        for name in ("convergence_study", "solve_fd_kernel",
+                     "ellipticity_sweep"):
+            monkeypatch.setattr(charts_mod, name, no_solve)
+        cfg = write_cfg(tmp_path, line + "\n")
+        assert main(["charts", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_charts_report_keys_for_small_q(self, tmp_path):
+        cfg = write_cfg(tmp_path, "charts.nodes = 21,41\ncharts.steps = 32\n"
+                        "charts.q_list = 0.00001,0.00002\n"
+                        "charts.sweep_nodes = 41\ncharts.sweep_steps = 32\n")
+        assert main(["charts", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) in (0, 1)
+        report = (tmp_path / "out" / "charts_report.txt").read_text()
+        assert "sweep_sup_q1em05=" in report
+        assert "sweep_grad_q2em05=" in report
 
     def test_counterexample_rejects_circle(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
@@ -519,6 +581,15 @@ class TestKuratowskiRuns:
         # and the diameter's two sweeps for the default h_far
         assert sum(sources) == int(report["n_0"]) + 64 + 32 + 2
 
+    @pytest.mark.parametrize("kind", ["kuratowski", "H", "G"])
+    def test_net_keeps_fields_only_for_kuratowski(self, kind):
+        from spectral_embed import cli
+
+        cfg = RunConfig.parse(ICOSPHERE3_KURATOWSKI.replace(
+            "embed.map = kuratowski", f"embed.map = {kind}"))
+        net = cli._embedding_setup(cfg, 0)[2]
+        assert (net.fields is not None) == (kind == "kuratowski")
+
     @pytest.mark.parametrize("count, message", [
         (0, "embed.n must lie in [0, spectrum.count = 0)"),
         (642, "spectrum.count must lie in [1, 642) for a sample of 642"),
@@ -671,6 +742,7 @@ FUZZ_MANIFOLDS = [
     "manifold.periods = 6.283185307179586,0.6283185307179586\n",
 ]
 EXTREME_INTS = [0, -1, -7, 10 ** 9, 10 ** 18, 2 ** 63]
+EXTREME_FLOATS = [0.0, -1.0, 5e-324, 1e300]
 
 
 def fuzz_int(lo, hi):
@@ -689,15 +761,43 @@ def fuzz_int(lo, hi):
            "embed.levels": fuzz_int(1, 12),
            "embed.pairs": fuzz_int(1, 500),
            "manifold.samples": fuzz_int(1, 8000),
-           "embed.delta": st.none() | st.sampled_from(
-               [0.0, -1.0, 5e-324, 1e300]) | st.floats(0.01, 4.0)}))
+           "embed.delta": st.none() | st.sampled_from(EXTREME_FLOATS)
+           | st.floats(0.01, 4.0)}))
 def test_any_config_exits_by_the_contract(manifold, kind, command, values):
-    # every input runs, fails a check or is rejected: exit 0, 1 or 2 within
-    # a time bound, never a traceback
-    import tempfile
     text = manifold + f"embed.map = {kind}\n" + "".join(
         f"{key} = {value}\n" for key, value in values.items()
         if value is not None)
+    assert_exit_contract(command, text)
+
+
+def fuzz_list(elements):
+    return st.lists(elements, max_size=4).map(
+        lambda values: ",".join(str(v) for v in values))
+
+
+# sizes stay at most 81 nodes and 64 steps, so each run takes about a second
+@settings(max_examples=10, deadline=None)
+@given(values=st.fixed_dictionaries({
+    "charts.nodes": fuzz_list(st.integers(-1, 81) | st.floats(2.5, 81.0)),
+    "charts.steps": st.integers(-1, 64),
+    "charts.sweep_nodes": st.integers(-1, 81),
+    "charts.sweep_steps": st.integers(-1, 64),
+}, optional={
+    "charts.t_max": st.sampled_from(EXTREME_FLOATS) | st.floats(0.01, 2.0),
+    "charts.bump_width": st.sampled_from(EXTREME_FLOATS)
+    | st.floats(0.1, 8.0),
+    "charts.q_list": fuzz_list(st.sampled_from(EXTREME_FLOATS + [1e-17])
+                               | st.floats(1e-6, 4.0)),
+}))
+def test_any_charts_config_exits_by_the_contract(values):
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    assert_exit_contract(["charts"], text)
+
+
+def assert_exit_contract(command, text):
+    # every input runs, fails a check or is rejected: exit 0, 1 or 2 within
+    # a time bound, never a traceback
+    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "fuzz.cfg")
         with open(cfg, "w") as fh:
