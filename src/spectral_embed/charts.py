@@ -237,10 +237,6 @@ class GridKernel:
     def mass(self, ti):
         return float(self.values[ti].sum() * self.spacing ** self.dim)
 
-    def at_time(self, t):
-        ti = int(np.argmin(np.abs(self.times - t)))
-        return ti, self.times[ti]
-
     def boundary_contact(self, ti, tol=1e-8):
         """Largest kernel magnitude on the box boundary at a stored time."""
         v = self.values[ti]

@@ -881,13 +881,6 @@ def make_analytic(kind, **params):
     raise ValueError(f"unknown analytic manifold kind {kind!r}")
 
 
-def export_distance_field(field, path):
-    with open(path, "w") as fh:
-        fh.write("vertex,distance\n")
-        for i, d in enumerate(field):
-            fh.write(f"{i},{float(d)!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # Laplace-Beltrami assembly
 # ---------------------------------------------------------------------------

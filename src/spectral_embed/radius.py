@@ -21,18 +21,6 @@ from .manifold import assemble_laplacian
 # only users: imported here it would load scipy.optimize into every CLI run.
 
 
-@dataclass(frozen=True)
-class RadiusParams:
-    dim: int
-    lam: float
-    iota: float
-    r: float
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.iota <= 0 or self.r <= 0:
-            raise ValueError("lam, iota and r must be positive")
-
-
 def solid_angle(n):
     """Total solid angle in n dimensions (area of the unit (n-1)-sphere)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

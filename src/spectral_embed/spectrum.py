@@ -260,7 +260,6 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
             f"eigenpair residual {res.max():.2e} exceeds tolerance")
 
     lams, vecs = _order_degenerate(lams, _fix_signs(vecs))
-    vecs = _fix_signs(vecs)
     return Spectrum(lams, mesh, basis=_VertexBasis(mesh, vecs),
                     operator_pair=ops)
 
