@@ -93,11 +93,7 @@ def replicate_net(net, lam):
     if lam <= 0:
         raise ValueError("lambda must be positive")
     counts = np.ceil(net.weights / lam).astype(int)
-    if isinstance(net.points, np.ndarray) and net.points.ndim == 2:
-        points = np.repeat(net.points, counts, axis=0)
-    else:
-        points = np.repeat(net.points, counts)
-    return points, counts
+    return np.repeat(net.points, counts, axis=0), counts
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,14 @@ class HeatEvaluator:
         self.spectrum = spectrum
         self.n_trunc = int(n_trunc)
         self.manifold = spectrum.manifold
+        # an empty batch: vertex indices on a mesh, coordinate rows otherwise
+        self._no_points = self.manifold.sample_points()[:0]
 
     def _points(self, p):
         """Normalize to a point batch; returns (batch, was_single)."""
-        if self.spectrum.vectors is not None:
-            arr = np.atleast_1d(np.asarray(p, dtype=int))
-            return arr, np.ndim(p) == 0
-        arr = np.asarray(p, dtype=float)
-        single = arr.ndim <= 1
-        return np.atleast_2d(arr), single
+        empty = self._no_points
+        arr = np.asarray(p, dtype=empty.dtype)
+        return arr.reshape((-1,) + empty.shape[1:]), arr.ndim < empty.ndim
 
     def weights(self, t):
         lam = self.spectrum.eigenvalues[: self.n_trunc + 1]

@@ -44,8 +44,8 @@ class TriMesh:
     Raises
     ------
     MeshError
-        If a vertex is not finite, or the mesh is not closed/oriented, not
-        connected or contains a degenerate (near zero area) triangle.
+        If a vertex is not finite, the mesh is not closed/oriented or not
+        connected, or its bounding box or a triangle is degenerate.
     """
 
     def __init__(self, vertices, faces, period=None, reference=None):
@@ -74,7 +74,11 @@ class TriMesh:
         bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         if self.period is not None:
             bbox = np.maximum(bbox, self.period)
-        diag2 = float(bbox @ bbox)
+        with np.errstate(over="ignore"):
+            diag2 = float(bbox @ bbox)
+        if not 0 < diag2 < np.inf:  # areas are compared with it below
+            raise MeshError(f"degenerate bounding box: squared diagonal "
+                            f"{diag2!r} is zero or not finite")
         self.face_areas = 0.5 * np.linalg.norm(
             np.cross(*self.corner_vectors()), axis=1)
         bad = np.nonzero(self.face_areas < 1e-12 * diag2)[0]
@@ -588,43 +592,37 @@ class FlatTorus(AnalyticManifold):
         return mesh.vertices[:, :self.dim]
 
     def lattice_modes(self, lam_max):
-        """Lattice vectors (one per +/- pair) with eigenvalue <= lam_max."""
+        """Lattice vectors (one per +/- pair) with eigenvalue <= lam_max, in
+        lexicographic order, and their eigenvalues."""
         bounds = np.floor(np.sqrt(lam_max) * self.periods / (2 * np.pi)).astype(int)
         axes = [np.arange(-b, b + 1) for b in bounds]
         grids = np.meshgrid(*axes, indexing="ij")
         mm = np.column_stack([g.ravel() for g in grids])
         lam = np.sum((2 * np.pi * mm / self.periods) ** 2, axis=1)
-        keep = lam <= lam_max + 1e-12
-        mm, lam = mm[keep], lam[keep]
         # canonical representative: first nonzero component positive
-        canon = np.ones(len(mm), dtype=bool)
-        for i, m in enumerate(mm):
-            nz = m[m != 0]
-            canon[i] = (len(nz) == 0) or (nz[0] > 0)
-        mm, lam = mm[canon], lam[canon]
-        order = np.lexsort(tuple(mm[:, ax] for ax in range(self.dim - 1, -1, -1))
-                           + (lam,))
-        return mm[order], lam[order]
+        first = mm[np.arange(len(mm)), np.argmax(mm != 0, axis=1)]
+        keep = (lam <= lam_max + 1e-12) & (first >= 0)
+        return mm[keep], lam[keep]
 
     def eigenbasis(self, count):
-        lam_max = 4.0
+        # start at the smallest nonzero eigenvalue, which does not change the
+        # chosen modes; Python floats overflow to inf without a warning
+        k1 = 2 * np.pi / float(self.periods.max())
+        lam_max = k1 * k1
         while True:
+            if not 0 < lam_max < np.inf:
+                raise ValueError(f"periods {self.periods.tolist()} put the "
+                                 "eigenvalues outside the double range")
             mm, lam = self.lattice_modes(lam_max)
-            total = 1 + 2 * (len(mm) - 1)
-            if total >= count:
+            if 2 * len(mm) - 1 >= count:
                 break
             lam_max *= 2.0
-        lams, labels = [], []
-        for m, l in zip(mm, lam):
-            if np.all(m == 0):
-                lams.append(0.0)
-                labels.append((m, "const"))
-            else:
-                lams += [l, l]
-                labels += [(m, "cos"), (m, "sin")]
-        order = np.argsort(np.array(lams), kind="stable")[:count]
-        return _TorusBasis(self, np.array(lams)[order],
-                           [labels[i] for i in order])
+        # row k is vector k // 2: a cosine, then a sine row per vector, but
+        # only the cosine (the constant) for the zero vector, which sorts first
+        k = np.arange(1, 2 * len(mm))
+        k = k[np.argsort(lam[k // 2], kind="stable")[:count]]
+        return _TorusBasis(self, lam[k // 2], mm[k // 2],
+                           sine=(k % 2 == 1) & (k > 1))
 
 
 class Circle(FlatTorus):
@@ -640,55 +638,36 @@ class Circle(FlatTorus):
 
 
 class _TorusBasis:
-    def __init__(self, torus, lams, labels):
+    """Mode k is amp_k cos(freq_k . x), or amp_k sin(freq_k . x) where
+    `sine[k]`; the constant is the cosine of the zero frequency."""
+
+    def __init__(self, torus, lams, mm, sine):
         self.manifold = torus
         self.eigenvalues = lams
-        self.labels = labels
-
-    def _phase(self, P):
-        X = np.atleast_2d(P)
-        freq = np.array([2 * np.pi * m / self.manifold.periods
-                         for m, _ in self.labels])
-        return X @ freq.T, freq
+        self.freq = 2 * np.pi * mm / torus.periods
+        self.sine = sine
+        self._const = ~np.any(mm, axis=1)
+        V = torus.volume
+        self.amp = _frozen(
+            np.where(self._const, 1.0 / np.sqrt(V), np.sqrt(2.0 / V)))
 
     def values(self, P):
-        theta, _ = self._phase(P)
-        amp = np.sqrt(2.0 / self.manifold.volume)
-        out = np.empty_like(theta)
-        for k, (_, trig) in enumerate(self.labels):
-            if trig == "const":
-                out[:, k] = 1.0 / np.sqrt(self.manifold.volume)
-            else:
-                f = np.cos if trig == "cos" else np.sin
-                out[:, k] = amp * f(theta[:, k])
-        return out
+        theta = np.atleast_2d(P) @ self.freq.T
+        return self.amp * np.where(self.sine, np.sin(theta), np.cos(theta))
 
     def gradients(self, P):
-        theta, freq = self._phase(P)
-        amp = np.sqrt(2.0 / self.manifold.volume)
-        out = np.zeros((theta.shape[0], theta.shape[1], self.manifold.dim))
-        for k, (_, trig) in enumerate(self.labels):
-            if trig == "const":
-                continue
-            d = (-np.sin(theta[:, k]) if trig == "cos" else np.cos(theta[:, k]))
-            out[:, k, :] = amp * d[:, None] * freq[k][None, :]
+        theta = np.atleast_2d(P) @ self.freq.T
+        slope = self.amp * np.where(self.sine, np.cos(theta), -np.sin(theta))
+        out = slope[:, :, None] * self.freq
+        out[:, self._const] = 0.0  # +0.0, where -sin(0) * 0 gives -0.0
         return out
 
     def sup_norms(self):
-        V = self.manifold.volume
-        return np.array([1.0 / np.sqrt(V) if trig == "const"
-                         else np.sqrt(2.0 / V) for _, trig in self.labels])
+        return self.amp
 
     def grad_sup_norms(self):
-        V = self.manifold.volume
-        out = []
-        for m, trig in self.labels:
-            if trig == "const":
-                out.append(0.0)
-            else:
-                out.append(np.sqrt(2.0 / V) * np.linalg.norm(
-                    2 * np.pi * np.asarray(m, float) / self.manifold.periods))
-        return np.array(out)
+        # vecdot rounds each row as the 1-D norm's dot product does
+        return self.amp * np.sqrt(np.vecdot(self.freq, self.freq))
 
 
 class Sphere(AnalyticManifold):

@@ -99,31 +99,21 @@ class Spectrum:
     """
 
     def __init__(self, eigenvalues, manifold, *, basis, operator_pair=None):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+        lam = self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+        if np.any(np.diff(lam) < -1e-9 * max(1.0, abs(lam[-1]))):
+            raise ValueError("eigenvalues must be nondecreasing")
+        if len(lam) > 1 and abs(lam[0]) > 1e-8 * max(lam[1], 1e-30):
+            raise ValueError("lowest eigenvalue must vanish")
         self.manifold = manifold
         self.basis = basis
         self.vectors = getattr(basis, "vectors", None)
         self.operator_pair = operator_pair
         self.dim = manifold.dim
         self.volume = manifold.volume
-        self._validate()
 
     @property
     def count(self):
         return len(self.eigenvalues)
-
-    def _validate(self):
-        lam = self.eigenvalues
-        if np.any(np.diff(lam) < -1e-9 * max(1.0, abs(lam[-1]))):
-            raise ValueError("eigenvalues must be nondecreasing")
-        if len(lam) > 1 and abs(lam[0]) > 1e-8 * max(lam[1], 1e-30):
-            raise ValueError("lowest eigenvalue must vanish")
-        if self.vectors is not None:
-            phi0 = self.vectors[:, 0]
-            target = 1.0 / np.sqrt(self.volume)
-            if not (np.allclose(phi0, target, rtol=1e-6)
-                    or np.allclose(phi0, -target, rtol=1e-6)):
-                raise ValueError("constant eigenfunction is not +-1/sqrt(V)")
 
     # -- evaluation -----------------------------------------------------------
 
@@ -260,6 +250,10 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
             f"eigenpair residual {res.max():.2e} exceeds tolerance")
 
     lams, vecs = _order_degenerate(lams, _fix_signs(vecs))
+    const = 1.0 / np.sqrt(mesh.volume)
+    if not (np.allclose(vecs[:, 0], const, rtol=1e-6)
+            or np.allclose(vecs[:, 0], -const, rtol=1e-6)):
+        raise ValueError("constant eigenfunction is not +-1/sqrt(V)")
     return Spectrum(lams, mesh, basis=_VertexBasis(mesh, vecs),
                     operator_pair=ops)
 

@@ -893,9 +893,9 @@ def _forkserver():
     return ctx
 
 
-def assert_exit_contract(command, text, expect=(0, 1, 2)):
+def assert_exit_contract(command, text, expect=(0, 1, 2), seconds=90):
     # every input runs, fails a check or is rejected: an exit code in
-    # `expect` within a time bound, never a traceback
+    # `expect` within `seconds`, never a traceback; returns the stderr
     with tempfile.TemporaryDirectory() as tmp:
         cfg, err = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "err")
         with open(cfg, "w") as fh:
@@ -904,15 +904,16 @@ def assert_exit_contract(command, text, expect=(0, 1, 2)):
             [*command, "--config", cfg, "--out", os.path.join(tmp, "out")],
             err))
         proc.start()
-        proc.join(90)
+        proc.join(seconds)
         if proc.is_alive():
             proc.kill()
             proc.join()
-            pytest.fail(f"no exit within 90 s:\n{text}")
+            pytest.fail(f"no exit within {seconds} s:\n{text}")
         with open(err) as fh:
             stderr = fh.read()
     assert proc.exitcode in expect, (text, stderr)
     assert "Traceback" not in stderr, (text, stderr)
+    return stderr
 
 
 # Fuzz strategies come from the config-key table: for every key, values
@@ -932,7 +933,8 @@ EXTREME_INTS = {"spectrum.count", "embed.n", "embed.levels", "embed.pairs",
                 "manifold.samples"}
 # keys whose smallest and largest doubles are checked before any solve
 EXTREME_FLOATS = {"embed.delta", "charts.t_max", "charts.bump_width",
-                  "charts.q_list"}
+                  "charts.q_list", "manifold.length", "manifold.radius",
+                  "manifold.periods"}
 FUZZ_KEYS = sorted(set(KEYS) - {"out", "manifold.kind", "manifold.path"})
 
 
@@ -1063,3 +1065,24 @@ def test_any_config_exits_by_the_contract(off_mesh, backend, command, values):
 def test_any_charts_config_exits_by_the_contract(values):
     text, expect = values
     assert_exit_contract(["charts"], text, expect)
+
+
+# Manifold sizes at the edge of the double range fail at once: a circle of
+# length 1e300 has a first nonzero eigenvalue that underflows, and the two
+# meshes have a squared bounding-box diagonal of 0 and inf.
+CIRCLE_1E300 = "manifold.kind = circle\nmanifold.length = 1e300\n"
+BOUNDING_BOX = "degenerate bounding box: squared diagonal"
+
+
+@pytest.mark.parametrize("command, text, expect, message", [
+    (["spectrum"], CIRCLE_1E300, (1, 2), ""),
+    (["verify", "varadhan"], CIRCLE_1E300 + "bounds.r_h = 1.0\n", (1, 2), ""),
+    (["verify", "decay"], CIRCLE_1E300 + "bounds.r_h = 1.0\n", (1, 2), ""),
+    (["spectrum"], "manifold.kind = icosphere\nmanifold.radius = 5e-324\n",
+     (2,), BOUNDING_BOX),
+    (["spectrum"], "manifold.kind = grid_torus\n"
+     "manifold.periods = 1e300,1.0\n", (2,), BOUNDING_BOX),
+], ids=["circle-spectrum", "circle-varadhan", "circle-decay", "icosphere",
+        "grid_torus"])
+def test_extreme_manifold_size_exits_at_once(command, text, expect, message):
+    assert message in assert_exit_contract(command, text, expect, seconds=5)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_non_finite_vertex_rejected(value):
     with pytest.raises(MeshError,
                        match="^non-finite coordinate at vertex 17$"):
         TriMesh(vertices, mesh.faces)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_sphere(5e-324, 1),  # the squared diagonal underflows to 0
+    lambda: make_torus_mesh((5e-324, 5e-324), (4, 4)),
+    lambda: make_torus_mesh((1e300, 1.0), (4, 4)),  # it overflows to inf
+], ids=["icosphere-5e-324", "grid-5e-324", "grid-1e300"])
+def test_degenerate_bounding_box_rejected(build):
+    with pytest.raises(MeshError, match="^degenerate bounding box: squared "
+                       "diagonal (0.0|inf) is zero or not finite$"):
+        build()
 
 
 def test_repeated_corner_is_a_degenerate_triangle():
@@ -583,6 +595,112 @@ class TestSphereAllDegrees:
             gsup, np.linalg.norm(basis.gradients(P), axis=2).max(axis=0))
         with pytest.raises(ValueError):
             sup[0] = 0.0
+
+
+def _torus_labels(torus, count):
+    """Brute force: (m, "const"|"cos"|"sin") labels of the first `count`
+    modes, one lattice vector per +/- pair, ordered by eigenvalue, then
+    lexicographically by m, the cosine before the sine, with their
+    eigenvalues and the eigenvalue of the next mode."""
+    r = 1
+    while True:
+        mm = np.array(list(itertools.product(range(-r, r + 1),
+                                             repeat=torus.dim)))
+        lam = np.sum((2 * np.pi * mm / torus.periods) ** 2, axis=1)
+        modes = []
+        for m, l in zip(mm, lam):
+            if not m.any():
+                modes.append((l, (), 0, (m, "const")))
+            elif tuple(m) > tuple(-m):
+                modes += [(l, tuple(m), 0, (m, "cos")),
+                          (l, tuple(m), 1, (m, "sin"))]
+        modes.sort(key=lambda mode: mode[:3])
+        # a vector outside the cube has a component of size r + 1
+        outside = np.min((2 * np.pi * (r + 1) / torus.periods) ** 2)
+        if len(modes) > count and modes[count][0] < outside:
+            return ([mode[3] for mode in modes[:count]],
+                    np.array([mode[0] for mode in modes[:count]]),
+                    modes[count][0])
+        r += 1
+
+
+def _torus_reference(torus, labels, P):
+    """The per-label loops the array basis must reproduce bit for bit:
+    values, gradients, sup norms and gradient sup norms."""
+    V = torus.volume
+    freq = np.array([2 * np.pi * m / torus.periods for m, _ in labels])
+    theta = np.atleast_2d(P) @ freq.T
+    amp = np.sqrt(2.0 / V)
+    vals = np.empty_like(theta)
+    grads = np.zeros(theta.shape + (torus.dim,))
+    sup, gsup = [], []
+    for k, (m, trig) in enumerate(labels):
+        if trig == "const":
+            vals[:, k] = 1.0 / np.sqrt(V)
+            sup.append(1.0 / np.sqrt(V))
+            gsup.append(0.0)
+            continue
+        f = np.cos if trig == "cos" else np.sin
+        vals[:, k] = amp * f(theta[:, k])
+        d = -np.sin(theta[:, k]) if trig == "cos" else np.cos(theta[:, k])
+        grads[:, k, :] = amp * d[:, None] * freq[k][None, :]
+        sup.append(amp)
+        gsup.append(amp * np.linalg.norm(
+            2 * np.pi * np.asarray(m, float) / torus.periods))
+    return vals, grads, np.array(sup), np.array(gsup)
+
+
+THIN = (2 * np.pi, 0.2 * np.pi)
+
+
+class TestTorusBasis:
+    # (periods, count, whether the count ends an eigenvalue shell)
+    @pytest.mark.parametrize("periods, count, ends_shell", [
+        ((2 * np.pi,), 1, True), ((2 * np.pi,), 2, False),
+        ((2 * np.pi,), 40, False), ((2 * np.pi,), 41, True),
+        ((2.0, 3.0), 7, False), ((2.0, 3.0), 9, True),
+        ((2.0, 3.0), 39, False), ((2.0, 3.0), 41, True),
+        (THIN, 21, False), (THIN, 23, True), (THIN, 40, False),
+        (THIN, 41, True),
+        ((1.0, 2.0, 3.0), 25, False), ((1.0, 2.0, 3.0), 29, True),
+        ((1.0, 2.0, 3.0), 70, False), ((1.0, 2.0, 3.0), 75, True),
+    ])
+    def test_matches_per_label_reference(self, periods, count, ends_shell):
+        torus = Circle(*periods) if len(periods) == 1 else FlatTorus(periods)
+        labels, lams, next_lam = _torus_labels(torus, count)
+        assert (lams[-1] < next_lam) == ends_shell
+        basis = torus.eigenbasis(count)
+        # the first `count` modes of the brute-force order
+        assert np.array_equal(basis.eigenvalues, lams)
+        assert np.array_equal(basis.freq, np.array(
+            [2 * np.pi * m / torus.periods for m, _ in labels]))
+        assert np.array_equal(basis.sine, [t == "sin" for _, t in labels])
+        rng = np.random.default_rng(count)
+        P = np.vstack([torus.sample_points(),
+                       rng.uniform(-20.0, 20.0, (200, torus.dim))])
+        vals, grads, sup, gsup = _torus_reference(torus, labels, P)
+        assert np.array_equal(basis.values(P), vals)
+        assert basis.gradients(P).tobytes() == grads.tobytes()
+        assert np.array_equal(basis.sup_norms(), sup)
+        assert np.array_equal(basis.grad_sup_norms(), gsup)
+
+    @pytest.mark.parametrize("torus, count", [
+        (Circle(1e300), 16), (Circle(5e-324), 16),
+        (FlatTorus((1.0, 1e300)), 16),
+        # the search doubles past the largest double before it holds
+        # `count` modes
+        (Circle(1e-150), 10 ** 5)])
+    def test_eigenvalues_outside_the_double_range(self, torus, count):
+        with pytest.raises(ValueError, match=r"periods \[.*\] put the "
+                           "eigenvalues outside the double range"):
+            torus.eigenbasis(count)
+
+    def test_anisotropic_search_stays_small(self):
+        # starting at (2 pi / max period)^2 enumerates a few vectors along
+        # the long axis, not about 1e10 / pi of them
+        lams = FlatTorus((1e10, 1.0)).eigenbasis(16).eigenvalues
+        k = (2 * np.pi / 1e10) ** 2
+        assert np.allclose(lams, k * np.repeat(np.arange(9), 2)[1:17] ** 2)
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus", "circle"])

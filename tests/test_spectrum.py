@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_embed.manifold import (Circle, FlatTorus, make_sphere,
-                                     make_torus_mesh, assemble_laplacian)
+from spectral_embed.manifold import (Circle, FlatTorus, OperatorPair,
+                                     make_sphere, make_torus_mesh,
+                                     assemble_laplacian)
 from spectral_embed.spectrum import (
     GeometryBounds, TruncationError, compute_spectrum, eigen_growth_check,
     eigenfunction_sup_bounds, truncation_index, truncation_tail_bound,
@@ -84,6 +85,16 @@ class TestComputeSpectrum:
         phi0 = sphere_mesh_spec.vectors[:, 0]
         assert np.allclose(np.abs(phi0),
                            1 / np.sqrt(sphere_mesh_spec.volume), rtol=1e-6)
+
+    def test_mesh_constant_mode_checked(self):
+        # mass-orthonormal for twice the lumped mass: the constant is
+        # 1/sqrt(2V), not 1/sqrt(V)
+        mesh = make_sphere(1.0, 2)
+        ops = assemble_laplacian(mesh)
+        doubled = OperatorPair(ops.stiffness, 2 * ops.mass)
+        with pytest.raises(ValueError,
+                           match=r"constant eigenfunction is not \+-1/sqrt"):
+            compute_spectrum(doubled, 5, mesh=mesh)
 
     def test_grid_torus_matches_lattice(self):
         mesh = make_torus_mesh((2 * np.pi, 2 * np.pi), (48, 48))
