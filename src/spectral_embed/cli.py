@@ -6,7 +6,6 @@ assertion failure, 2 usage or config error.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -221,9 +220,6 @@ def build_manifold(cfg):
         if not os.path.exists(path):
             raise ConfigError(f"missing input file {path}")
         return load_mesh(path)
-    if kind == "icosphere":
-        return make_sphere(cfg.value("manifold.radius"),
-                           cfg.value("manifold.subdivisions"))
     if kind == "grid_torus":
         periods = cfg.value("manifold.periods")
         divisions = cfg.value("manifold.divisions")
@@ -234,11 +230,26 @@ def build_manifold(cfg):
         return make_torus_mesh(tuple(periods), tuple(divisions))
     samples = cfg.value("manifold.samples", None)
     sized = {} if samples is None else {"samples": samples}
-    if kind == "circle":
-        return Circle(cfg.value("manifold.length"), **sized)
-    if kind == "sphere":
-        return Sphere(cfg.value("manifold.radius"), **sized)
-    return FlatTorus(tuple(cfg.value("manifold.periods")), **sized)
+    try:
+        if kind == "icosphere":
+            return make_sphere(cfg.value("manifold.radius"),
+                               cfg.value("manifold.subdivisions"))
+        if kind == "circle":
+            man = Circle(cfg.value("manifold.length"), **sized)
+        elif kind == "sphere":
+            man = Sphere(cfg.value("manifold.radius"), **sized)
+        else:
+            man = FlatTorus(tuple(cfg.value("manifold.periods")), **sized)
+        man.sample_points()
+        return man
+    except (ConfigError, MeshError):
+        raise
+    except ValueError as exc:
+        # a size at the edge of the double range overflows the sphere's
+        # area or the closed-form sample grid
+        key = {"circle": "manifold.length",
+               "torus": "manifold.periods"}.get(kind, "manifold.radius")
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _check_count(count, manifold):
@@ -372,10 +383,9 @@ def _embedding_setup(cfg, seed):
     # the kuratowski map reads distances only: no spectrum to solve
     ev = (None if kind == "kuratowski"
           else HeatEvaluator(compute_spectrum(man, count), n_trunc))
-    net = build_net(man, delta) if delta is not None else None
-    if net is not None and kind != "kuratowski":
-        # only the kuratowski map reads the net's distance fields
-        net = dataclasses.replace(net, fields=None)
+    # only the kuratowski map reads the net's distance fields
+    net = (None if delta is None
+           else build_net(man, delta, fields=kind == "kuratowski"))
     return man, ev, net, kind, eigencount, n_trunc, pairs
 
 

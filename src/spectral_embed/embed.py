@@ -25,7 +25,7 @@ class Net:
 
     `fields` holds each net point's distance field over the canonical
     sample, (len(points), sample size), when the net was built by
-    `build_net`.
+    `build_net` with `fields`.
     """
 
     points: np.ndarray
@@ -37,12 +37,14 @@ class Net:
         return len(self.points)
 
 
-def build_net(manifold, delta, seed_point=None):
+def build_net(manifold, delta, seed_point=None, fields=True):
     """Farthest-point-sampled delta-net with Voronoi weights.
 
     Deterministic: seeded at the first canonical sample point (vertex 0 on
     a mesh); each step adds the sample point farthest from the net until
-    the covering radius drops to delta.
+    the covering radius drops to delta.  With `fields` the net keeps every
+    point's full distance field; without, each search stops at the current
+    covering radius, past which no sample point can get closer to the net.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -55,37 +57,37 @@ def build_net(manifold, delta, seed_point=None):
     stop = delta * (1.0 - 1e-12)
     candidates = manifold.sample_points()
     chosen = [candidates[0] if seed_point is None else seed_point]
-    fields = [manifold.distance_from(chosen[0])]
-    mind = fields[0]
-    while mind.max() >= stop:
+    mind = manifold.distance_from(chosen[0])
+    kept = [mind]
+    nearest = np.zeros(len(mind), dtype=np.int64)  # ties to the lowest index
+    while (covering := float(mind.max())) >= stop:
         chosen.append(candidates[int(np.argmax(mind))])
-        fields.append(manifold.distance_from(chosen[-1]))
-        mind = np.minimum(mind, fields[-1])
-    points = np.array(chosen)
-
-    fields = np.stack(fields)
-    weights, covering = _voronoi(manifold, fields)
+        field = manifold.distance_between(
+            chosen[-1:], candidates, limit=np.inf if fields else covering)[0]
+        nearest[field < mind] = len(chosen) - 1
+        mind = np.minimum(mind, field)
+        if fields:
+            kept.append(field)
     if covering > delta * (1 + 1e-9):
         raise ValueError("covering radius exceeds delta after sampling")
-    return Net(points, float(delta), weights, fields)
+    return Net(np.array(chosen), float(delta),
+               _cell_masses(manifold, nearest, len(chosen)),
+               np.stack(kept) if fields else None)
 
 
-def _voronoi(manifold, fields):
-    """Cell weights and covering radius from the net's distance fields.
-
-    `fields` is (net size, canonical sample size); each sample point goes
-    to its nearest net point, ties to the lowest index.
-    """
-    weights = np.zeros(len(fields))
-    np.add.at(weights, np.argmin(fields, axis=0),
+def _cell_masses(manifold, nearest, size):
+    """Sample weights summed per net point, each sample point going to
+    `nearest`, the index of its nearest net point."""
+    weights = np.zeros(size)
+    np.add.at(weights, nearest,
               manifold.sample_weights(manifold.sample_points()))
-    return weights, float(fields.min(axis=0).max())
+    return weights
 
 
 def voronoi_weights(manifold, net):
     """Cell masses |A_i| of the nearest-point partition induced by the net."""
     fields = manifold.distance_between(net.points, manifold.sample_points())
-    return _voronoi(manifold, fields)[0]
+    return _cell_masses(manifold, np.argmin(fields, axis=0), len(fields))
 
 
 def replicate_net(net, lam):

@@ -304,12 +304,12 @@ class TriMesh:
         first[1:] = key[1:] != key[:-1]
         g = sparse.csr_matrix((data[first], (lo[first], hi[first])),
                               shape=(nv, nv))
-        return g + g.T
+        return g + g.T  # symmetric, so searches run it as a directed graph
 
     def graph_distance_from(self, source):
         """Dijkstra distance field from a vertex over the shortcut graph."""
         g = self._distance_graph
-        return csgraph.dijkstra(g, directed=False, indices=int(source))
+        return csgraph.dijkstra(g, directed=True, indices=int(source))
 
     def exact_distance_from(self, source):
         """Distance field from the reference geometry, when available."""
@@ -329,7 +329,7 @@ class TriMesh:
 
         The search stops at `limit`: entries beyond it are inf.
         """
-        fields = csgraph.dijkstra(self._distance_graph, directed=False,
+        fields = csgraph.dijkstra(self._distance_graph, directed=True,
                                   indices=np.atleast_1d(np.asarray(P, int)),
                                   limit=limit)
         return fields[:, np.asarray(Q, dtype=int)]
@@ -461,26 +461,28 @@ def make_sphere(radius, subdivisions):
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     reference = Sphere(radius)  # validates the radius
-    verts = [v for v in _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])]
+    vertices = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m = m / np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = np.array(new_faces, dtype=np.int64)
-    vertices = np.array(verts)
+        # edges ab, bc, ca of each face in turn; each new midpoint takes the
+        # next index at its edge's first occurrence
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        key = np.minimum(a, b) * len(vertices) + np.maximum(a, b)
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) != 0
+        group = np.cumsum(new) - 1  # edge id of each sorted occurrence
+        first = order[new]  # first occurrence of each edge
+        rank = np.argsort(np.argsort(first))
+        mid = np.empty(len(key), dtype=np.int64)
+        mid[order] = len(vertices) + rank[group]
+        first.sort()
+        m = vertices[a[first]] + vertices[b[first]]
+        # vecdot rounds each row as the 1-D norm's dot product does
+        m /= np.sqrt(np.vecdot(m, m))[:, None]
+        vertices = np.concatenate([vertices, m])
+        (a, b, c), (ab, bc, ca) = faces.T, mid.reshape(-1, 3).T
+        faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc,
+                                 ab, bc, ca]).reshape(-1, 3)
     vertices *= radius / np.linalg.norm(vertices, axis=1, keepdims=True)
     return TriMesh(vertices, faces, reference=reference)
 
@@ -567,7 +569,12 @@ class FlatTorus(AnalyticManifold):
         m = m or self.samples
         # grid with per-axis resolution proportional to the period
         c = (m / self.volume) ** (1.0 / self.dim)
-        counts = np.maximum(2, np.round(c * self.periods)).astype(int)
+        counts = np.maximum(2, np.round(c * self.periods))
+        if not np.all(counts < 2.0 ** 63):  # inf once the volume underflows
+            raise ValueError(f"periods {self.periods.tolist()} give a grid of "
+                             f"{counts.tolist()} points per axis for {m} "
+                             "samples")
+        counts = counts.astype(int)
         axes = [np.arange(k) * (p / k) for k, p in zip(counts, self.periods)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
@@ -680,7 +687,10 @@ class Sphere(AnalyticManifold):
             raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.dim = 2
-        self.volume = 4 * np.pi * radius ** 2
+        self.volume = 4 * np.pi * (self.radius * self.radius)
+        if self.volume == np.inf:
+            raise ValueError(f"radius {self.radius!r} overflows the area "
+                             "4 pi r^2")
         self.samples = samples
 
     def diameter(self):

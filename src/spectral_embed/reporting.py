@@ -61,9 +61,24 @@ def _cell(value, _repr=_REPR.get):
     return _repr(type(value), fmt)(value)
 
 
+def _column(cells):
+    """fmt text of one column, with the formatter picked once for it."""
+    types = set(map(type, cells))
+    if types <= {float, int}:
+        return map(repr, cells)
+    return map(_cell, cells)
+
+
 def write_csv(path, header, rows):
     """CSV with one fmt text per cell; hand bulk numpy data over as
-    ``.tolist()`` rows, whose Python floats and ints take the fast path."""
+    ``.tolist()`` rows, whose Python floats and ints take the fast path.
+
+    Cells are formatted by column; ragged rows go cell by cell."""
+    rows = list(rows)
+    widths = set(map(len, rows))
     lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    if len(widths) == 1 and widths != {0}:
+        lines.extend(map(",".join, zip(*map(_column, zip(*rows)))))
+    else:
+        lines.extend(",".join(map(_cell, row)) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")

@@ -1,9 +1,9 @@
 """Laplace-Beltrami spectra and the quantitative spectral bounds.
 
-Solves the generalized eigenproblem on meshes (shift-invert Lanczos),
-enumerates closed-form eigenpairs on analytic backends, and evaluates the
-eigenvalue-growth bound, eigenfunction sup bounds and the heat-kernel
-truncation index.
+Solves the mesh eigenproblem in standard form (shift-invert Lanczos) with
+one basis per eigenspace, enumerates closed-form eigenpairs on analytic
+backends, and evaluates the eigenvalue-growth bound, eigenfunction sup
+bounds and the heat-kernel truncation index.
 """
 
 import functools
@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 import scipy.special
 
@@ -184,23 +186,55 @@ def _fix_signs(vectors):
     return out
 
 
-def _order_degenerate(lams, vectors, rel_tol=1e-6):
-    """Stable ascending order with lexicographic ties inside multiplets."""
-    order = np.argsort(lams, kind="stable")
-    lams, vectors = lams[order], vectors[:, order]
+def _multiplets(lams, rel_tol=1e-6):
+    """(start, stop) of each run of eigenvalues equal to relative rel_tol."""
     k = 0
     while k < len(lams):
         j = k + 1
         scale = max(abs(lams[k]), 1e-12)
         while j < len(lams) and abs(lams[j] - lams[k]) <= rel_tol * scale:
             j += 1
-        if j - k > 1:
-            group = sorted(range(k, j),
-                           key=lambda i: tuple(np.round(vectors[:, i], 10)))
-            lams[k:j] = lams[group]
-            vectors[:, k:j] = vectors[:, group]
+        yield k, j
         k = j
-    return lams, vectors
+
+
+def _pivots(block, tie=1e-8):
+    """Rows chosen by greedy column-pivoted QR of block.T (Businger-Golub).
+
+    Each step takes the row of largest residual norm and projects it out.
+    Norms within `tie` of the largest count as equal and the lowest row
+    wins, so roundoff cannot pick between rows that symmetry makes equal.
+    """
+    rest = block.copy()
+    rows = []
+    for _ in range(block.shape[1]):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        p = int(np.argmax(norms >= (1.0 - tie) * norms.max()))
+        q = rest[p] / np.sqrt(norms[p])
+        rest -= np.einsum("ij,j->i", rest, q)[:, None] * q
+        rows.append(p)
+    return rows
+
+
+def _canonical_basis(lams, vectors, masses):
+    """Ascending eigenpairs with one basis per multiplet that depends only
+    on its eigenspace, not on the rotation a solver returned it in.
+
+    Inside each multiplet (eigenvalues equal to relative 1e-6) the basis is
+    the one that is the identity at pivot rows chosen by greedy pivoted QR,
+    then mass-orthonormalized in pivot order (Gram-Schmidt, as a Cholesky
+    factor) and given the sign convention of `_fix_signs`.
+    """
+    order = np.argsort(lams, kind="stable")
+    lams, vectors = lams[order], vectors[:, order]
+    for k, j in _multiplets(lams):
+        block = vectors[:, k:j]
+        unit = np.linalg.solve(block[_pivots(block)].T, block.T).T
+        gram = unit.T @ (masses[:, None] * unit)
+        chol = np.linalg.cholesky(gram)
+        vectors[:, k:j] = scipy.linalg.solve_triangular(
+            chol, unit.T, lower=True).T
+    return lams, _fix_signs(vectors)
 
 
 def compute_spectrum(target, count, *, mesh=None, maxiter=None):
@@ -230,17 +264,20 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
     if count >= nv:
         raise ValueError("count must be below the vertex count")
 
-    scale = ops.stiffness.diagonal().mean() / ops.mass.diagonal().mean()
+    # standard form D K D y = lambda y with D = M^(-1/2), M diagonal
+    masses = ops.mass.diagonal()
+    scale = ops.stiffness.diagonal().mean() / masses.mean()
     sigma = -1e-2 * scale
+    d = sparse.diags(1.0 / np.sqrt(masses))
     v0 = np.ones(nv)
     try:
-        lams, vecs = spla.eigsh(ops.stiffness, k=count, M=ops.mass,
-                                sigma=sigma, which="LM", v0=v0, tol=0,
-                                maxiter=maxiter)
+        lams, vecs = spla.eigsh(d @ ops.stiffness @ d, k=count, sigma=sigma,
+                                which="LM", v0=v0, tol=0, maxiter=maxiter)
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
             f"eigensolver did not converge within the iteration budget: {exc}",
         ) from exc
+    vecs = d @ vecs
 
     lams = np.maximum(lams, 0.0) * (np.abs(lams) > 1e-9 * max(lams.max(), 1e-30))
     residual = ops.stiffness @ vecs - ops.mass @ vecs * lams
@@ -249,7 +286,7 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
         raise EigensolverError(
             f"eigenpair residual {res.max():.2e} exceeds tolerance")
 
-    lams, vecs = _order_degenerate(lams, _fix_signs(vecs))
+    lams, vecs = _canonical_basis(lams, vecs, masses)
     const = 1.0 / np.sqrt(mesh.volume)
     if not (np.allclose(vecs[:, 0], const, rtol=1e-6)
             or np.allclose(vecs[:, 0], -const, rtol=1e-6)):

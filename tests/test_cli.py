@@ -822,6 +822,26 @@ def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_mesh_spectrum_bytes_independent_of_blas_threads(tmp_path):
+    # the eigenfunction files hold the eigenspace-canonical basis, which
+    # must not depend on the BLAS pool either
+    cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
+                    "manifold.subdivisions = 3\nspectrum.count = 40\n")
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectral_embed.cli", "spectrum",
+             "--config", cfg, "--out", str(out)],
+            env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes()
+                      for p in sorted(out.glob("spectrum/eigenfunction_*"))})
+    assert len(trees[0]) == 40
+    assert trees[0] == trees[1]
+
+
 def test_cli_import_leaves_quadrature_unloaded():
     # scipy.integrate (and the scipy.optimize it pulls in) loads only when a
     # radius constant needs quadrature, not with every CLI run
@@ -1068,10 +1088,14 @@ def test_any_charts_config_exits_by_the_contract(values):
 
 
 # Manifold sizes at the edge of the double range fail at once: a circle of
-# length 1e300 has a first nonzero eigenvalue that underflows, and the two
-# meshes have a squared bounding-box diagonal of 0 and inf.
+# length 1e300 has a first nonzero eigenvalue that underflows, the two
+# meshes have a squared bounding-box diagonal of 0 and inf, a radius of
+# 1e300 overflows the sphere's area, and a circle length or torus period
+# of 5e-324 overflows the closed-form sample grid.
 CIRCLE_1E300 = "manifold.kind = circle\nmanifold.length = 1e300\n"
 BOUNDING_BOX = "degenerate bounding box: squared diagonal"
+CIRCLE_TINY = "manifold.kind = circle\nmanifold.length = 5e-324\n"
+TORUS_TINY = "manifold.kind = torus\nmanifold.periods = 5e-324,1.0\n"
 
 
 @pytest.mark.parametrize("command, text, expect, message", [
@@ -1082,7 +1106,17 @@ BOUNDING_BOX = "degenerate bounding box: squared diagonal"
      (2,), BOUNDING_BOX),
     (["spectrum"], "manifold.kind = grid_torus\n"
      "manifold.periods = 1e300,1.0\n", (2,), BOUNDING_BOX),
+    (["spectrum"], "manifold.kind = sphere\nmanifold.radius = 1e300\n",
+     (2,), "manifold.radius"),
+    (["embed"], "manifold.kind = icosphere\nmanifold.radius = 1e300\n"
+     "embed.delta = 0.5\n", (2,), "manifold.radius"),
+    (["spectrum"], CIRCLE_TINY, (2,), "manifold.length"),
+    (["embed"], CIRCLE_TINY + "embed.delta = 0.5\n", (2,),
+     "manifold.length"),
+    (["verify", "isometry"], TORUS_TINY + "embed.delta = 0.5\n", (2,),
+     "manifold.periods"),
 ], ids=["circle-spectrum", "circle-varadhan", "circle-decay", "icosphere",
-        "grid_torus"])
+        "grid_torus", "sphere-1e300", "icosphere-1e300", "circle-5e-324",
+        "circle-embed-5e-324", "torus-5e-324"])
 def test_extreme_manifold_size_exits_at_once(command, text, expect, message):
     assert message in assert_exit_contract(command, text, expect, seconds=5)

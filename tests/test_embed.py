@@ -46,6 +46,25 @@ class TestBuildNet:
         fields = np.stack([mesh.graph_distance_from(i) for i in net.points])
         assert fields.min(axis=0).max() <= 0.5
 
+    @pytest.mark.parametrize("manifold, delta", [
+        (make_sphere(1.0, 3), 0.4),
+        (make_torus_mesh((2 * np.pi, 2 * np.pi), (24, 20)), 0.9),
+        (CIRCLE, 0.05)], ids=["icosphere3", "grid_torus", "circle"])
+    def test_bounded_searches_give_the_same_net(self, manifold, delta):
+        full = build_net(manifold, delta)
+        bounded = build_net(manifold, delta, fields=False)
+        assert bounded.fields is None
+        assert bounded.points.tobytes() == full.points.tobytes()
+        assert bounded.weights.tobytes() == full.weights.tobytes()
+        # nearest net point by argmin over the full fields: ties go low
+        assert full.weights.tobytes() == \
+            voronoi_weights(manifold, full).tobytes()
+        # the covering radius of the kept fields, and measured again
+        covering = full.fields.min(axis=0).max()
+        P = manifold.sample_points()
+        again = manifold.distance_between(bounded.points, P).min(axis=0)
+        assert again.max() == covering < delta
+
     def test_net_finer_than_discretization(self):
         mesh = make_sphere(1.0, 2)
         with pytest.raises(ValueError, match="finer than discretization"):

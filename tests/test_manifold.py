@@ -252,7 +252,41 @@ class TestFaceSubsets:
             assemble_laplacian(mesh, faces=np.array([2]))
 
 
+def _icosphere_reference(radius, subdivisions):
+    """The per-edge dict walk `make_sphere` replaced: each face in turn
+    takes the midpoints of ab, bc and ca, new ones at the next index."""
+    verts = list(manifold._ICO_VERTS / np.linalg.norm(manifold._ICO_VERTS[0]))
+    faces = manifold._ICO_FACES
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                cache[key] = len(verts)
+                verts.append(m / np.linalg.norm(m))
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = np.array(new_faces, dtype=np.int64)
+    vertices = np.array(verts)
+    vertices *= radius / np.linalg.norm(vertices, axis=1, keepdims=True)
+    return vertices, faces
+
+
 class TestMakeSphere:
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_matches_dict_walk_bytes(self, subdivisions):
+        mesh = make_sphere(1.0, subdivisions)
+        vertices, faces = _icosphere_reference(1.0, subdivisions)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.faces.dtype == faces.dtype
+        assert mesh.faces.tobytes() == faces.tobytes()
+
     def test_icosahedron(self):
         mesh = make_sphere(1.0, 0)
         assert len(mesh.vertices) == 12
@@ -283,6 +317,11 @@ class TestMakeSphere:
             make_sphere(-1.0, 2)
         with pytest.raises(ValueError):
             make_sphere(1.0, -1)
+
+    @pytest.mark.parametrize("radius", [1e300, 1e155])
+    def test_area_overflow_rejected(self, radius):
+        with pytest.raises(ValueError, match="overflows the area 4 pi r"):
+            make_sphere(radius, 1)
 
 
 class TestAnalytic:
@@ -694,6 +733,14 @@ class TestTorusBasis:
         with pytest.raises(ValueError, match=r"periods \[.*\] put the "
                            "eigenvalues outside the double range"):
             torus.eigenbasis(count)
+
+    @pytest.mark.parametrize("torus", [
+        Circle(5e-324), FlatTorus((5e-324, 1.0)), FlatTorus((1e-200, 1.0))])
+    def test_sample_grid_outside_the_integers(self, torus):
+        # the volume underflows, or one axis needs more than 2^63 points
+        with pytest.raises(ValueError, match=r"periods \[.*\] give a grid "
+                           r"of \[.*\] points per axis"):
+            torus.sample_points()
 
     def test_anisotropic_search_stays_small(self):
         # starting at (2 pi / max period)^2 enumerates a few vectors along

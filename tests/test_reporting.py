@@ -50,3 +50,26 @@ def test_enumerated_tolist_rows_match_fmt(tmp_path):
     rows = enumerate(values.tolist())
     assert written(tmp_path, ["k", "v"], rows) == \
         reference(["k", "v"], list(enumerate(values)))
+
+
+# one type per column, as each exporter hands its rows over, and columns
+# that mix exact floats and ints
+COLUMNS = [[True, False, True], [np.True_, np.False_, np.True_],
+           [np.float32(0.1), np.float32(-2.5), np.float32(1e-8)],
+           [7, -12, 2 ** 70], ["a", "b", "c"], [0.1, -0.0, float("nan")],
+           [1, 2.5, -3], [np.float64(0.1), 3, 0.5]]
+
+
+def test_typed_columns_match_fmt(tmp_path):
+    rows = list(zip(*COLUMNS))
+    header = [f"c{i}" for i in range(len(COLUMNS))]
+    assert written(tmp_path, header, rows) == reference(header, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0.5), (2,), (3, 0.25, "x")],
+    [(), (1.5, 2)],
+    [(), ()],
+    []], ids=["ragged", "empty-first", "all-empty", "no-rows"])
+def test_ragged_rows_match_fmt(tmp_path, rows):
+    assert written(tmp_path, ["a", "b"], rows) == reference(["a", "b"], rows)

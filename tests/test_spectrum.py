@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from spectral_embed.manifold import (Circle, FlatTorus, OperatorPair,
@@ -11,6 +12,7 @@ from spectral_embed.spectrum import (
     GeometryBounds, TruncationError, compute_spectrum, eigen_growth_check,
     eigenfunction_sup_bounds, truncation_index, truncation_tail_bound,
     default_faber_krahn, default_trace_constant)
+from spectral_embed.spectrum import _canonical_basis, _multiplets
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -125,6 +127,57 @@ class TestComputeSpectrum:
             compute_spectrum(ops, 4)
         spec = compute_spectrum(ops, 4, mesh=mesh)
         assert spec.eigenvalues[0] == 0.0
+
+
+ICOSPHERE3 = make_sphere(1.0, 3)
+
+
+@pytest.fixture(scope="module")
+def ico3_spec39():
+    # 39 modes end a multiplet: the 40th starts a 5-fold one
+    return compute_spectrum(ICOSPHERE3, 39)
+
+
+def _generalized_solve(mesh, count):
+    """The generalized shift-invert solve of K and M, a second solver."""
+    ops = assemble_laplacian(mesh)
+    sigma = -1e-2 * (ops.stiffness.diagonal().mean()
+                     / ops.mass.diagonal().mean())
+    return spla.eigsh(ops.stiffness, k=count, M=ops.mass, sigma=sigma,
+                      which="LM", v0=np.ones(len(mesh.vertices)), tol=0)
+
+
+class TestEigenspaceBasis:
+    def test_icosahedral_multiplets(self, ico3_spec39):
+        sizes = [j - k for k, j in _multiplets(ico3_spec39.eigenvalues)]
+        assert sizes == [1, 3, 5, 4, 3, 4, 5, 5, 3, 3, 3]
+
+    def test_rotation_invariant(self, ico3_spec39):
+        spec, rng = ico3_spec39, np.random.default_rng(7)
+        rotated = spec.vectors.copy()
+        for k, j in _multiplets(spec.eigenvalues):
+            q = np.linalg.qr(rng.standard_normal((j - k, j - k)))[0]
+            rotated[:, k:j] = rotated[:, k:j] @ q
+        assert np.abs(rotated - spec.vectors).max() > 0.1
+        lams, vectors = _canonical_basis(spec.eigenvalues.copy(), rotated,
+                                         ICOSPHERE3.masses)
+        assert np.array_equal(lams, spec.eigenvalues)
+        assert np.abs(vectors - spec.vectors).max() <= 1e-12
+
+    def test_generalized_solver_agrees(self, ico3_spec39):
+        spec = ico3_spec39
+        lams, vectors = _canonical_basis(*_generalized_solve(ICOSPHERE3, 39),
+                                         ICOSPHERE3.masses)
+        assert np.allclose(lams, spec.eigenvalues, rtol=1e-10, atol=1e-12)
+        assert np.abs(vectors - spec.vectors).max() <= 1e-9
+
+    def test_mass_orthonormal_with_signs_fixed(self, ico3_spec39):
+        spec = ico3_spec39
+        gram = spec.vectors.T @ (ICOSPHERE3.masses[:, None] * spec.vectors)
+        assert np.abs(gram - np.eye(spec.count)).max() < 1e-12
+        for col in spec.vectors.T:
+            idx = np.nonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0][0]
+            assert col[idx] > 0
 
 
 class TestGrowthCheck:
