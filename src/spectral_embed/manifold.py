@@ -61,8 +61,8 @@ class TriMesh:
         if not np.isfinite(self.vertices).all():
             bad = np.nonzero(~np.isfinite(self.vertices).all(axis=1))[0][0]
             raise MeshError(f"non-finite coordinate at vertex {bad}")
-        a, b, c = self.faces.T
-        bad = np.nonzero((a == b) | (b == c) | (c == a))[0]
+        f0, f1, f2 = self.faces.T
+        bad = np.nonzero((f0 == f1) | (f1 == f2) | (f2 == f0))[0]
         if bad.size:  # a repeated corner has zero area whatever the vertices
             raise MeshError(f"degenerate (zero-area) triangle at face {bad[0]}")
         self.period = None if period is None else np.asarray(period, dtype=float)
@@ -71,7 +71,8 @@ class TriMesh:
         self._frames = None
         self._edge_table = self._build_edge_table()
 
-        bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        # per column: an axis-0 reduction over (V, 3) rows is far slower
+        bbox = np.array([np.ptp(x) for x in self.vertices.T])
         if self.period is not None:
             bbox = np.maximum(bbox, self.period)
         with np.errstate(over="ignore"):
@@ -79,17 +80,28 @@ class TriMesh:
         if not 0 < diag2 < np.inf:  # areas are compared with it below
             raise MeshError(f"degenerate bounding box: squared diagonal "
                             f"{diag2!r} is zero or not finite")
-        self.face_areas = 0.5 * np.linalg.norm(
-            np.cross(*self.corner_vectors()), axis=1)
+        # |e1 x e2| / 2 per component, as np.cross forms the products and
+        # norm(axis=1) sums their squares, without their (F, 3) slow paths
+        (ax, ay, az), (bx, by, bz) = (e.T for e in self.corner_vectors())
+        nx = ay * bz
+        nx -= az * by
+        ny = az * bx
+        ny -= ax * bz
+        nz = ax * by
+        nz -= ay * bx
+        nx *= nx
+        nx += np.square(ny, out=ny)
+        nx += np.square(nz, out=nz)
+        self.face_areas = 0.5 * np.sqrt(nx, out=nx)
         bad = np.nonzero(self.face_areas < 1e-12 * diag2)[0]
         if bad.size:
             raise MeshError(f"degenerate (zero-area) triangle at face {bad[0]}")
 
-        # barycentric lumped mass: a third of each incident triangle area
-        masses = np.zeros(len(self.vertices))
-        np.add.at(masses, self.faces.ravel(),
-                  np.repeat(self.face_areas / 3.0, 3))
-        self.masses = masses
+        # barycentric lumped mass: a third of each incident triangle area,
+        # summed in face order
+        self.masses = np.bincount(self.faces.ravel(),
+                                  np.repeat(self.face_areas / 3.0, 3),
+                                  minlength=len(self.vertices))
         self.volume = float(self.face_areas.sum())
 
     # -- geometry helpers ---------------------------------------------------
@@ -116,9 +128,11 @@ class TriMesh:
 
     @functools.cached_property
     def _corners(self):
-        x0 = self.vertices[self.faces[:, 0]]
-        return (self.wrap(self.vertices[self.faces[:, 1]] - x0),
-                self.wrap(self.vertices[self.faces[:, 2]] - x0))
+        # np.take copies whole rows; V[F[:, k]] is several times slower
+        f0, f1, f2 = self.faces.T
+        x0 = np.take(self.vertices, f0, axis=0)
+        return (self.wrap(np.take(self.vertices, f1, axis=0) - x0),
+                self.wrap(np.take(self.vertices, f2, axis=0) - x0))
 
     def _build_edge_table(self):
         """Check that the mesh is closed, oriented and connected; return the
@@ -129,14 +143,18 @@ class TriMesh:
         directed edges side by side and, on a closed oriented mesh, the two
         halves of each edge in one row, the lower index first.
         """
-        f, nv = self.faces, len(self.vertices)
-        tail, head = f.T[[1, 2, 0]].ravel(), f.T[[2, 0, 1]].ravel()
-        key = np.minimum(tail, head)
-        key *= nv
-        key += np.maximum(tail, head, out=head)
-        key *= 2
-        key += tail < head  # head now holds the larger end
-        del tail, head
+        f, nv = self.faces.T, len(self.vertices)
+        tail = np.concatenate([f[1], f[2], f[0]])
+        head = np.concatenate([f[2], f[0], f[1]])
+        lo = np.minimum(tail, head)
+        up = tail < head
+        hi = np.maximum(tail, head, out=head)
+        del tail
+        key = lo * nv
+        key += hi
+        key <<= 1
+        key += up
+        del up
         order = np.argsort(key, kind="stable")
         key = key[order]
 
@@ -155,18 +173,21 @@ class TriMesh:
             starts = np.diff(key >> 1, prepend=-1, append=-1) != 0
             raise MeshError("non-closed mesh: boundary edge "
                             + smallest(key[starts[:-1] & starts[1:]]))
-        edges = np.column_stack(np.divmod(key[1::2] >> 1, nv))
         del key
-        graph = sparse.csr_matrix(
-            (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
-            shape=(nv, nv))
+        first, second = order[0::2], order[1::2]  # the j->i, i->j halves
+        i, j = lo[second], hi[second]
+        del lo, hi
+        # the edges are sorted by (i, j): row counts give the CSR row starts
+        indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=nv), out=indptr[1:])
+        graph = sparse.csr_matrix((np.ones(len(j)), j, indptr),
+                                  shape=(nv, nv))
         components = csgraph.connected_components(graph, directed=False)[0]
         if components > 1:
             raise MeshError(f"disconnected mesh: {components} components")
-        order = order.reshape(-1, 2)
-        swap = order[:, 0] > order[:, 1]
-        order[swap] = order[swap, ::-1]
-        return _frozen(edges), _frozen(order)
+        return (_frozen(np.column_stack([i, j])),
+                _frozen(np.column_stack([np.minimum(first, second),
+                                         np.maximum(first, second)])))
 
     def edges(self):
         """Undirected edges as an (E, 2) array with i < j, in sorted order."""
@@ -495,18 +516,21 @@ def make_torus_mesh(periods, divisions):
     """
     (a1, a2), (n1, n2) = periods, divisions
     reference = FlatTorus((a1, a2))  # validates the periods
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    vertices = np.column_stack([
-        (ii.ravel() * a1) / n1, (jj.ravel() * a2) / n2, np.zeros(n1 * n2)])
+    # vertex i * n2 + j sits at (i a1 / n1, j a2 / n2, 0)
+    i, j = np.arange(n1), np.arange(n2)
+    vertices = np.zeros((n1 * n2, 3))
+    grid = vertices.reshape(n1, n2, 3)
+    grid[:, :, 0] = ((i * a1) / n1)[:, None]
+    grid[:, :, 1] = (j * a2) / n2
 
-    i, j = ii.ravel(), jj.ravel()
-    v00 = i * n2 + j
-    v10 = ((i + 1) % n1) * n2 + j
-    v01 = i * n2 + (j + 1) % n2
-    v11 = ((i + 1) % n1) * n2 + (j + 1) % n2
-    faces = np.concatenate([np.column_stack([v00, v10, v11]),
-                            np.column_stack([v00, v11, v01])])
-    return TriMesh(vertices, faces.astype(np.int64),
+    row, next_row = i[:, None] * n2, ((i + 1) % n1)[:, None] * n2
+    col, next_col = j, (j + 1) % n2
+    faces = np.empty((2, n1, n2, 3), dtype=np.int64)
+    faces[0, :, :, 0] = faces[1, :, :, 0] = row + col
+    faces[0, :, :, 1] = next_row + col
+    faces[0, :, :, 2] = faces[1, :, :, 1] = next_row + next_col
+    faces[1, :, :, 2] = row + next_col
+    return TriMesh(vertices, faces.reshape(-1, 3),
                    period=(a1, a2, 0.0), reference=reference)
 
 
@@ -583,11 +607,29 @@ class FlatTorus(AnalyticManifold):
         return disp - self.periods * np.round(disp / self.periods)
 
     def distance_between(self, P, Q, limit=np.inf):
-        disp = np.atleast_2d(P)[:, None, :] - np.atleast_2d(Q)[None, :, :]
-        return np.linalg.norm(self.wrap(disp), axis=-1)
+        P, Q = np.atleast_2d(P), np.atleast_2d(Q)
+        return self._length(p[:, None] - q
+                            for p, q in zip(P.T, Q.T, strict=True))
 
     def _paired_distance(self, P, Q):
-        return np.linalg.norm(self.wrap(P - Q), axis=-1)
+        return self._length(p - q for p, q in zip(P.T, Q.T, strict=True))
+
+    def _length(self, displacements):
+        """|wrap(d)| from the per-axis components of d, one contiguous pass
+        per axis.  The squares are summed in axis order, as norm(axis=-1)
+        sums up to seven of them (numpy sums more pairwise)."""
+        total = None
+        for d, per in zip(displacements, self.periods, strict=True):
+            w = d / per
+            np.round(w, out=w)
+            w *= per
+            w = np.subtract(d, w, out=w)
+            w *= w
+            if total is None:
+                total = w
+            else:
+                total += w
+        return np.sqrt(total, out=total)
 
     def tangent_frame(self, p):
         return np.eye(self.dim)

@@ -234,7 +234,8 @@ class DistanceCoordinateReport:
 
 def _ball_faces(mesh, dist_to_base, r):
     inside = dist_to_base <= r
-    return np.nonzero(np.all(inside[mesh.faces], axis=1))[0]
+    f0, f1, f2 = mesh.faces.T  # per corner: all(axis=1) on (F, 3) is slow
+    return np.nonzero(inside[f0] & inside[f1] & inside[f2])[0]
 
 
 def _gram_fields(mesh, fields, faces):
@@ -285,7 +286,9 @@ def distance_coordinates_experiment(mesh, base, r, *, iota, frame_factor=0.25):
         raise ValueError("ball radius below mesh resolution")
     gram = _gram_fields(mesh, fields, faces)
     eigs = np.linalg.eigvalsh(gram)
-    touching = np.nonzero(np.any(mesh.faces == int(base), axis=1))[0]
+    f0, f1, f2 = mesh.faces.T
+    b = int(base)
+    touching = np.nonzero((f0 == b) | (f1 == b) | (f2 == b))[0]
     gram_base = _gram_fields(mesh, fields, touching).mean(axis=0)
     holder = _holder_over_faces(mesh, gram, faces) * math.sqrt(r)
     return DistanceCoordinateReport(
@@ -325,8 +328,8 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
     interior = np.nonzero(inside)[0]
     if interior.size == 0:
         raise ValueError("no interior vertices at this radius")
-    corner_inside = inside[mesh.faces]
-    star = np.nonzero(np.any(corner_inside, axis=1))[0]
+    c0, c1, c2 = (inside[f] for f in mesh.faces.T)
+    star = np.nonzero(c0 | c1 | c2)[0]
     stiffness = assemble_laplacian(mesh, faces=star).stiffness
     neighbor_mask = np.zeros(len(mesh.vertices), dtype=bool)
     sub = stiffness[interior]
@@ -356,7 +359,7 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
         harmonics.append(b)
 
     # gram over faces with every corner interior (solved values there)
-    faces = np.nonzero(np.all(corner_inside, axis=1))[0]
+    faces = np.nonzero(c0 & c1 & c2)[0]
     if faces.size == 0:
         faces = _ball_faces(mesh, base_field, r)
     gram = _gram_fields(mesh, harmonics, faces)

@@ -97,6 +97,15 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["verify", "bogus", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command", [["bogus"], ["verify", "bogus"]])
+    def test_bad_command_creates_no_directory(self, tmp_path, monkeypatch,
+                                              command):
+        # the config names no out, so a run would write to ./out
+        cfg = write_cfg(tmp_path, CIRCLE_CFG)
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--config", cfg]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_missing_config_file(self, tmp_path):
         assert main(["spectrum", "--config",
                      str(tmp_path / "absent.cfg")]) == 2
@@ -105,7 +114,8 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "broken line without equals\n")
         assert main(["spectrum", "--config", cfg]) == 2
 
-    def test_missing_mesh_input(self, tmp_path):
+    def test_missing_mesh_input(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the run makes ./out before it reads
         cfg = write_cfg(tmp_path,
                         "manifold.kind = mesh\nmanifold.path = nope.off\n")
         assert main(["spectrum", "--config", cfg]) == 2
@@ -568,6 +578,24 @@ class TestSubcommands:
                      "--out", str(tmp_path / "inj")]) == 0
         report = (tmp_path / "inj" / "injectivity_report.txt").read_text()
         assert "far_pairs=80" in report.splitlines()
+
+    def test_isometry_report_echoes_the_config_as_written(self, tmp_path):
+        # the default band [0.85, 1.15] is checked, not written as config
+        text = (CIRCLE_CFG + "spectrum.count = 120\n"
+                "embed.t_max = 0.8\nembed.levels = 5\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "isometry", "--config", cfg,
+                     "--out", str(tmp_path / "default")]) == 0
+        report = (tmp_path / "default" / "embed_report.txt").read_text()
+        assert "band" not in report
+        # a band in the config is echoed and checked; band_hi keeps its
+        # default of 1.15
+        cfg = write_cfg(tmp_path, text + "embed.band_lo = 0.999\n")
+        assert main(["verify", "isometry", "--config", cfg,
+                     "--out", str(tmp_path / "tight")]) == 1
+        report = (tmp_path / "tight" / "embed_report.txt").read_text()
+        assert [line for line in report.splitlines() if "band" in line] == [
+            "config_embed_band_lo=0.999"]
 
     def test_reports_embed_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)

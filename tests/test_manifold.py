@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 
@@ -322,6 +323,133 @@ class TestMakeSphere:
     def test_area_overflow_rejected(self, radius):
         with pytest.raises(ValueError, match="overflows the area 4 pi r"):
             make_sphere(radius, 1)
+
+
+def _torus_mesh_reference(periods, divisions):
+    """The meshgrid construction `make_torus_mesh` replaced."""
+    (a1, a2), (n1, n2) = periods, divisions
+    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    vertices = np.column_stack([
+        (ii.ravel() * a1) / n1, (jj.ravel() * a2) / n2, np.zeros(n1 * n2)])
+    i, j = ii.ravel(), jj.ravel()
+    v00 = i * n2 + j
+    v10 = ((i + 1) % n1) * n2 + j
+    v01 = i * n2 + (j + 1) % n2
+    v11 = ((i + 1) % n1) * n2 + (j + 1) % n2
+    faces = np.concatenate([np.column_stack([v00, v10, v11]),
+                            np.column_stack([v00, v11, v01])])
+    return vertices, faces.astype(np.int64)
+
+
+def _build_reference(mesh):
+    """What `TriMesh` derived on (F, 3) rows before it worked per column:
+    fancy-gathered corner vectors, np.cross and norm(axis=1) areas, np.add.at
+    masses, and the edge table split by divmod with its half-edge pairs
+    ordered by a swap."""
+    v, f, nv = mesh.vertices, mesh.faces, len(mesh.vertices)
+    x0 = v[f[:, 0]]
+    e1, e2 = mesh.wrap(v[f[:, 1]] - x0), mesh.wrap(v[f[:, 2]] - x0)
+    areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    masses = np.zeros(nv)
+    np.add.at(masses, f.ravel(), np.repeat(areas / 3.0, 3))
+    tail, head = f.T[[1, 2, 0]].ravel(), f.T[[2, 0, 1]].ravel()
+    key = ((np.minimum(tail, head) * nv + np.maximum(tail, head)) * 2
+           + (tail < head))
+    order = np.argsort(key, kind="stable")
+    edges = np.column_stack(np.divmod(key[order][1::2] >> 1, nv))
+    halves = order.reshape(-1, 2)
+    swap = halves[:, 0] > halves[:, 1]
+    halves[swap] = halves[swap, ::-1]
+    return e1, e2, areas, masses, edges, halves
+
+
+def _off_mesh(tmp_path):
+    mesh = make_sphere(1.0, 2)
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "bumpy.off")
+    save_mesh(TriMesh(mesh.vertices * rng.uniform(0.9, 1.1, (len(
+        mesh.vertices), 1)), mesh.faces), path)
+    return load_mesh(path)
+
+
+def _shifted_grid(tmp_path):
+    # the grid moved off its lattice, so triangles straddle the seam
+    mesh = make_torus_mesh((2.0, 3.0), (24, 20))
+    shifted = (mesh.vertices + [0.93, 1.41, 0.0]) % [2.0, 3.0, np.inf]
+    return TriMesh(shifted, mesh.faces, period=mesh.period)
+
+
+_BUILD_MESHES = {
+    **{f"icosphere{k}": lambda _, k=k: make_sphere(1.0, k) for k in range(5)},
+    "grid24x20": lambda _: make_torus_mesh((2.0, 3.0), (24, 20)),
+    "grid24x20-shifted": _shifted_grid,
+    "grid-anisotropic": lambda _: make_torus_mesh((1e3, 1.0), (40, 6)),
+    "off": _off_mesh,
+}
+
+
+class TestPerColumnBuild:
+    """The build works per column and per corner; each derived array has
+    the bytes the (F, 3)-row expressions gave."""
+
+    @pytest.mark.parametrize("name", sorted(_BUILD_MESHES))
+    def test_matches_row_expressions_bytes(self, name, tmp_path):
+        mesh = _BUILD_MESHES[name](tmp_path)
+        twin = copy.copy(mesh)  # shares everything but what it derives
+        e1, e2, areas, masses, edges, halves = _build_reference(mesh)
+        for got, want in zip(mesh.corner_vectors() + mesh._edge_table
+                             + (mesh.face_areas, mesh.masses),
+                             (e1, e2, edges, halves, areas, masses)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert mesh.volume == float(areas.sum())
+        # the Dijkstra graph read from the former edge table
+        twin._edge_table = (edges, halves)
+        for part in ("data", "indices", "indptr"):
+            assert (getattr(mesh._distance_graph, part).tobytes()
+                    == getattr(twin._distance_graph, part).tobytes())
+
+    @pytest.mark.parametrize("periods, divisions", [
+        ((2.0, 3.0), (24, 20)), ((1e3, 1.0), (40, 6)), ((1, 2), (3, 5))])
+    def test_grid_torus_matches_meshgrid_bytes(self, periods, divisions):
+        mesh = make_torus_mesh(periods, divisions)
+        vertices, faces = _torus_mesh_reference(periods, divisions)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.faces.dtype == faces.dtype
+        assert mesh.faces.tobytes() == faces.tobytes()
+
+    def test_components_are_counted(self):
+        parts = [make_sphere(1.0, 0), make_sphere(1.0, 1),
+                 make_torus_mesh((1.0, 1.0), (4, 3)), make_sphere(2.0, 0)]
+        for count in (2, 3, 4):
+            offsets = np.cumsum([0] + [len(m.vertices) for m in parts])
+            vertices = np.vstack([m.vertices + 5.0 * k
+                                  for k, m in enumerate(parts[:count])])
+            faces = np.vstack([m.faces + offsets[k]
+                               for k, m in enumerate(parts[:count])])
+            with pytest.raises(MeshError, match=(
+                    f"^disconnected mesh: {count} components$")):
+                TriMesh(vertices, faces)
+
+
+@pytest.mark.parametrize("torus", [
+    Circle(2.5), FlatTorus((2.0, 3.0)), FlatTorus((1.0, 2.0, 0.5))],
+    ids=["circle", "torus2", "torus3"])
+def test_flat_torus_distance_matches_broadcast_norm(torus):
+    per = torus.periods
+    rng = np.random.default_rng(7)
+    P = rng.uniform(-1.5, 2.5, (6, torus.dim)) * per
+    P[0] = 0.0
+    # points exactly half a period (or one and a half) away from P[0], on
+    # one axis and on all of them, where the minimal image is a tie
+    Q = np.vstack([torus.sample_points()[::7], P, P[0] + per / 2,
+                   P[0] - 1.5 * per, P[0] + np.diag(per) / 2])
+    want = np.linalg.norm(torus.wrap(P[:, None, :] - Q[None, :, :]),
+                          axis=-1)
+    assert torus.distance_between(P, Q).tobytes() == want.tobytes()
+    R = Q[rng.integers(0, len(Q), len(P))]
+    want = np.linalg.norm(torus.wrap(P - R), axis=-1)
+    assert torus.distance(P, R).tobytes() == want.tobytes()
 
 
 class TestAnalytic:
