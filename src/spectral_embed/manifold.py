@@ -13,6 +13,8 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.special
 
+from . import reporting
+
 
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (non-closed, degenerate, ...)."""
@@ -450,13 +452,13 @@ def load_mesh(path):
 
 
 def save_mesh(mesh, path):
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.faces)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+    """Write an OFF file atomically, coordinates in shortest round-trip
+    text; the lines are built column by column."""
+    x, y, z = (map(repr, c) for c in mesh.vertices.T.tolist())
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
+    lines += map(" ".join, zip(x, y, z))
+    lines += map("3 {} {} {}".format, *mesh.faces.T.tolist())
+    reporting.atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -859,41 +861,54 @@ class _SphereBasis:
             out[b] = self._real_parts(theta[b], phi[b])[0].T / R
         return out
 
-    def gradients(self, P):
+    def _sweep(self, P):
+        """Per block of points: its slice, the real harmonics (K, block)
+        before the 1/R scale of `values`, and the x, y and z components of
+        the gradients, (K, block) each."""
         theta, phi = self._angles(P)
         R = self.manifold.radius
-        sin_t = np.maximum(np.sin(theta), 1e-12)
-        theta_hat = np.column_stack([np.cos(theta) * np.cos(phi),
-                                     np.cos(theta) * np.sin(phi),
-                                     -np.sin(theta)])
-        phi_hat = np.column_stack([-np.sin(phi), np.cos(phi),
-                                   np.zeros_like(phi)])
-        out = np.zeros((len(theta), len(self.labels), 3))
-        live = self._ell > 0
         for b in self._blocks(len(theta)):
-            _, dth, dph = self._real_parts(theta[b], phi[b], diff=True)
-            dth, dph = dth[live].T, dph[live].T
-            out[b, live] = (dth[:, :, None] * theta_hat[b, None, :]
-                            + (dph / sin_t[b, None])[:, :, None]
-                            * phi_hat[b, None, :]) / R ** 2
+            t, f = theta[b], phi[b]
+            vals, dth, dph = self._real_parts(t, f, diff=True)
+            dph = dph / np.maximum(np.sin(t), 1e-12)
+            theta_hat = (np.cos(t) * np.cos(f), np.cos(t) * np.sin(f),
+                         -np.sin(t))
+            phi_hat = (-np.sin(f), np.cos(f), np.zeros_like(f))
+            yield b, vals, [(dth * th + dph * ph) / R ** 2
+                            for th, ph in zip(theta_hat, phi_hat)]
+
+    def gradients(self, P):
+        out = np.empty((len(np.atleast_2d(P)), len(self.labels), 3))
+        for b, _, axes in self._sweep(P):
+            for a, comp in enumerate(axes):
+                out[b, :, a] = comp.T
+        out[:, self._ell == 0] = 0.0  # the products can give it as -0.0
         return out
 
-    # The basis is immutable, so its sampled sup norms are computed once.
+    # The basis is immutable, so its sampled sup norms are computed once,
+    # both in one sweep over the sample points.
     def sup_norms(self):
-        return self._sup_norms
+        return self._sup_norms[0]
 
     def grad_sup_norms(self):
-        return self._grad_sup_norms
+        return self._sup_norms[1]
 
     @functools.cached_property
     def _sup_norms(self):
-        vals = self.values(self.manifold.sample_points())
-        return _frozen(np.abs(vals).max(axis=0))
-
-    @functools.cached_property
-    def _grad_sup_norms(self):
-        grads = self.gradients(self.manifold.sample_points())
-        return _frozen(np.linalg.norm(grads, axis=2).max(axis=0))
+        """Value and gradient sup norms.  Division by R > 0 keeps order, so
+        the values are scaled once, at the end.  The squared gradient
+        lengths are summed x, then y, then z, the order of norm(axis=-1)
+        over three components, so no (points, K, 3) array is built; sqrt
+        keeps order too, so it is taken of the largest square."""
+        K = len(self.labels)
+        sup, grad_sq = np.zeros(K), np.zeros(K)
+        for _, vals, (gx, gy, gz) in self._sweep(self.manifold.sample_points()):
+            np.maximum(sup, np.abs(vals).max(axis=1), out=sup)
+            sq = gx * gx
+            sq += gy * gy
+            sq += gz * gz
+            np.maximum(grad_sq, sq.max(axis=1), out=grad_sq)
+        return _frozen(sup / self.manifold.radius), _frozen(np.sqrt(grad_sq))
 
 
 def _frozen(array):

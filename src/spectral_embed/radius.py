@@ -9,6 +9,7 @@ Conventions: `lam` is the curvature scale with Ricci >= -(n-1) lam^2;
 all constants depend on the dimensionless products lam*r and lam*iota.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,9 @@ import scipy.sparse.linalg as spla
 
 from .manifold import assemble_laplacian
 
-# scipy.integrate is imported inside model_volumes and abresch_gromoll, its
-# only users: imported here it would load scipy.optimize into every CLI run.
+# scipy.integrate is imported inside abresch_gromoll, its only user: imported
+# here it would load scipy.optimize into every CLI run.  The model volumes
+# are closed form and need no quadrature.
 
 
 def solid_angle(n):
@@ -26,20 +28,68 @@ def solid_angle(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _sinh_power_series(k):
+    """Coefficients a_m of I_k(x) = x^(k+1) sum_m a_m x^(2m), highest first.
+
+    sinh^k s = 2^-k sum_j (-1)^j C(k, j) e^((k-2j) s), so the coefficient
+    of x^(p+1) in I_k, p = k + 2m, is 2^-k sum_j (-1)^j C(k, j) (k-2j)^p
+    / (p+1)!: summed in integers and rounded once.  Every a_m is positive,
+    so for x <= 1 a term is at most its value at x = 1; the series stops
+    past its peak, at a term below 2^-60 of the sum so far.
+    """
+    terms = [(-1) ** j * math.comb(k, j) * (k - 2 * j) ** k
+             for j in range(k + 1)]
+    steps = [(k - 2 * j) ** 2 for j in range(k + 1)]
+    den = 2 ** k * math.factorial(k + 1)
+    coeffs = [sum(terms) / den]
+    total = coeffs[0]
+    while len(coeffs) < 2 or coeffs[-1] >= coeffs[-2] / 2 \
+            or coeffs[-1] >= total * 2.0 ** -60:
+        terms = list(map(int.__mul__, terms, steps))
+        p = k + 2 * len(coeffs)
+        den *= p * (p + 1)
+        coeffs.append(sum(terms) / den)
+        total += coeffs[-1]
+    return tuple(reversed(coeffs))
+
+
+def _sinh_power_integral(k, x):
+    """I_k(x), the integral of sinh^k over [0, x], for integer k >= 0.
+
+    Below x = 1 the positive power series, summed by Horner in x^2.  From
+    x = 1 on the reduction I_k = (sinh^(k-1) x cosh x - (k-1) I_(k-2)) / k
+    from I_0 = x and I_1 = 2 sinh^2(x/2): there the subtracted term is at
+    most 0.56 of the first, and an error carried from I_(k-2) shrinks by
+    about 1/sinh^2 x per step; below x = 1 it would grow instead.
+    """
+    if x < 1.0:
+        y = x * x
+        acc = 0.0
+        for a in _sinh_power_series(k):
+            acc = acc * y + a
+        return x ** (k + 1) * acc
+    s, c = math.sinh(x), math.cosh(x)
+    first, val = (1, 2.0 * math.sinh(x / 2.0) ** 2) if k % 2 else (0, x)
+    for j in range(first + 2, k + 1, 2):
+        val = (s ** (j - 1) * c - (j - 1) * val) / j
+    return val
+
+
 def model_volumes(n, lam, r):
     """(ball, boundary) volumes in the model of curvature -lam^2.
 
-    The boundary volume is closed form; the ball volume integrates it with
-    tight quadrature.
+    Both are closed form: the ball volume is Omega_n I_(n-1)(lam r) / lam^n,
+    with I_k the integral of sinh^k from 0 (`_sinh_power_integral`).
     """
-    import scipy.integrate as integrate
     if lam <= 0 or r <= 0:
         raise ValueError("lam and r must be positive")
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
     omega = solid_angle(n)
     boundary = omega * math.sinh(lam * r) ** (n - 1) / lam ** (n - 1)
-    ball, _ = integrate.quad(
-        lambda s: omega * math.sinh(lam * s) ** (n - 1) / lam ** (n - 1),
-        0.0, r, epsabs=0.0, epsrel=1e-12, limit=200)
+    # a Python float, so an underflowed ball divides by zero with an error
+    ball = omega * _sinh_power_integral(int(n) - 1, float(lam * r)) / lam ** n
     return ball, boundary
 
 

@@ -106,6 +106,19 @@ class TestExitCodes:
         assert main(command + ["--config", cfg]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("mesh", [None, "OFF\n4 4 0\n1 1 x\n"],
+                             ids=["missing", "invalid"])
+    def test_failed_input_creates_no_directory(self, tmp_path, monkeypatch,
+                                               mesh):
+        # a run that exits 2 on its mesh leaves no ./out behind
+        monkeypatch.chdir(tmp_path)
+        if mesh is not None:
+            (tmp_path / "in.off").write_text(mesh)
+        cfg = write_cfg(tmp_path,
+                        "manifold.kind = mesh\nmanifold.path = in.off\n")
+        assert main(["spectrum", "--config", cfg]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["spectrum", "--config",
                      str(tmp_path / "absent.cfg")]) == 2
@@ -115,7 +128,7 @@ class TestExitCodes:
         assert main(["spectrum", "--config", cfg]) == 2
 
     def test_missing_mesh_input(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the run makes ./out before it reads
+        monkeypatch.chdir(tmp_path)  # a run without --out writes ./out
         cfg = write_cfg(tmp_path,
                         "manifold.kind = mesh\nmanifold.path = nope.off\n")
         assert main(["spectrum", "--config", cfg]) == 2
@@ -870,16 +883,24 @@ def test_mesh_spectrum_bytes_independent_of_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_cli_import_leaves_quadrature_unloaded():
-    # scipy.integrate (and the scipy.optimize it pulls in) loads only when a
-    # radius constant needs quadrature, not with every CLI run
-    script = ("import sys, spectral_embed.cli\n"
-              "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+def test_cli_import_leaves_quadrature_unloaded(tmp_path):
+    # scipy.integrate (and the scipy.optimize it pulls in) loads neither with
+    # the CLI nor in a constants run: the model volumes are closed form
+    report = ("print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
               " if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=cli_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    scripts = ["import sys, spectral_embed.cli\n" + report]
+    for i, config in enumerate(["", "constants.n = 3\n"]):
+        cfg = write_cfg(tmp_path, config, name=f"c{i}.cfg")
+        out = str(tmp_path / f"out{i}")
+        scripts.append(
+            "import sys\nfrom spectral_embed.cli import main\n"
+            f"assert main(['constants', '--config', {cfg!r}, '--out', "
+            f"{out!r}]) == 0\n" + report)
+    for script in scripts:
+        proc = subprocess.run([sys.executable, "-c", script], env=cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 def test_thread_cap_applies_before_numpy_loads(tmp_path):

@@ -109,6 +109,33 @@ class TestLoadMesh:
         assert np.array_equal(back.faces, mesh.faces)
         assert np.allclose(back.vertices, mesh.vertices)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_sphere(1.0, 3),
+        lambda: make_torus_mesh((2.0, 3.0), (24, 20))])
+    def test_save_matches_line_loop_bytes(self, tmp_path, build):
+        mesh = build()
+        path = tmp_path / "m.off"
+        save_mesh(mesh, str(path))
+        # the former writer: one formatted line per vertex and per face
+        lines = ["OFF\n", f"{len(mesh.vertices)} {len(mesh.faces)} 0\n"]
+        lines += [f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n"
+                  for v in mesh.vertices]
+        lines += [f"3 {f[0]} {f[1]} {f[2]}\n" for f in mesh.faces]
+        assert path.read_bytes() == "".join(lines).encode()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.off"
+        path.write_text("previous\n")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(manifold.reporting.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_mesh(make_sphere(1.0, 1), str(path))
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.off"]
+
 
 def _broken_meshes():
     """The three ways an oriented mesh stops being closed, per mesh."""
@@ -723,6 +750,26 @@ def _sph_reference_fields(basis, P):
     return vals, grads
 
 
+def _former_sphere_gradients(basis, P):
+    """The sphere gradients as built before the one-sweep sup norms: whole
+    (block, K, 3) products per block, the constant mode left at zero."""
+    theta, phi = basis._angles(P)
+    R = basis.manifold.radius
+    sin_t = np.maximum(np.sin(theta), 1e-12)
+    theta_hat = np.column_stack([np.cos(theta) * np.cos(phi),
+                                 np.cos(theta) * np.sin(phi), -np.sin(theta)])
+    phi_hat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    out = np.zeros((len(theta), len(basis.labels), 3))
+    live = basis._ell > 0
+    for b in basis._blocks(len(theta)):
+        _, dth, dph = basis._real_parts(theta[b], phi[b], diff=True)
+        dth, dph = dth[live].T, dph[live].T
+        out[b, live] = (dth[:, :, None] * theta_hat[b, None, :]
+                        + (dph / sin_t[b, None])[:, :, None]
+                        * phi_hat[b, None, :]) / R ** 2
+    return out
+
+
 class TestSphereAllDegrees:
     # 1: the constant alone; 40: splits the l = 6 band; 225: l = 0..14;
     # 400: l = 0..19, the benchmark's sphere_sup_bounds basis
@@ -748,6 +795,20 @@ class TestSphereAllDegrees:
         vals, grads = _sph_reference_fields(basis, P)
         sup = np.abs(vals).max(axis=0)
         gsup = np.linalg.norm(grads, axis=2).max(axis=0)
+        assert basis.sup_norms().tobytes() == sup.tobytes()
+        assert basis.grad_sup_norms().tobytes() == gsup.tobytes()
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("count", [1, 4, 225, 400])
+    def test_sup_norms_match_full_arrays(self, count, radius):
+        # the one-sweep sup norms against the (points, K) values and the
+        # (points, K, 3) gradients reduced whole, the former path
+        s = make_analytic("sphere", radius=radius)
+        basis = s.eigenbasis(count)
+        P = s.sample_points()
+        sup = np.abs(basis.values(P)).max(axis=0)
+        gsup = np.linalg.norm(_former_sphere_gradients(basis, P),
+                              axis=2).max(axis=0)
         assert basis.sup_norms().tobytes() == sup.tobytes()
         assert basis.grad_sup_norms().tobytes() == gsup.tobytes()
 

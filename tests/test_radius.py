@@ -34,7 +34,58 @@ def mp_holder_constant(n, lam_r, lam_iota):
     return float(6 * mp.sqrt(12 * vol_ratio * c * f))
 
 
+def mp_ball_volume(n, x):
+    """Omega_n times the integral of sinh^(n-1) over [0, x], from the
+    exponential sum 2^-k sum_j C(k, j) (-1)^j (e^((k-2j) x) - 1) / (k-2j),
+    whose k = 2j term is x, at 320 digits (mp.quad loses digits here)."""
+    import mpmath as mp
+    with mp.workdps(320):
+        k, x = n - 1, mp.mpf(x)
+        total = mp.fsum((-1) ** j * mp.binomial(k, j)
+                        * (x if k == 2 * j else mp.expm1((k - 2 * j) * x)
+                           / (k - 2 * j)) for j in range(k + 1))
+        return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) \
+            * total / mp.mpf(2) ** k
+
+
 class TestModelVolumes:
+    # both sides of x = 1, where the power series hands over to the
+    # reduction formula, and up to lam r = 40
+    LAM_R = (1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.99,
+             1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.01, 1.2, 1.5, 1.9, 2.0, 2.5,
+             4.0, 7.0, 15.0, 40.0)
+
+    @pytest.mark.parametrize("n", list(range(1, 12)) + [20, 40, 60, 80, 99])
+    def test_ball_matches_exponential_sum(self, n):
+        checked = 0
+        for x in self.LAM_R:
+            ref = mp_ball_volume(n, x)
+            if not 1e-300 < ref < 1e300:
+                continue  # beyond the double range
+            ball, _ = model_volumes(n, 1.0, x)
+            assert abs(ball - ref) <= 1e-13 * ref, (n, x)
+            checked += 1
+        assert checked >= 8
+
+    def test_scales_with_lam(self):
+        for n, lam, r in ((2, 2.0, 0.3), (3, 0.5, 3.0), (7, 4.0, 0.5)):
+            assert model_volumes(n, lam, r)[0] == pytest.approx(
+                float(mp_ball_volume(n, lam * r)) / lam ** n, rel=1e-13)
+
+    def test_underflowed_ball_is_a_python_zero(self):
+        # so a volume ratio fails with ZeroDivisionError (exit 1 through the
+        # CLI) instead of writing nan, as with quadrature
+        ball, boundary = model_volumes(100, 1.0, np.float64(1e-4))
+        assert type(ball) is float and type(boundary) is float
+        assert ball == 0.0
+        with pytest.raises(ZeroDivisionError), np.errstate(all="ignore"):
+            constants_sweep(100, 1.0, 1.0, np.array([1e-4]))
+
+    def test_dimension_must_be_a_positive_integer(self):
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                model_volumes(n, 1.0, 1.0)
+
     def test_boundary_closed_form(self):
         ball, boundary = model_volumes(2, 1.0, 1.0)
         assert boundary == pytest.approx(2 * np.pi * np.sinh(1.0), rel=1e-12)
