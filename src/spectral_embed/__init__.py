@@ -10,17 +10,15 @@ if os.environ.get("SPECTRAL_EMBED_THREADS"):
         os.environ.setdefault(_var, os.environ["SPECTRAL_EMBED_THREADS"])
 
 from .manifold import (TriMesh, Circle, Sphere, FlatTorus, OperatorPair,
-                       load_mesh, save_mesh, make_sphere, make_torus_mesh,
-                       make_analytic, assemble_laplacian, MeshError)
+                       load_mesh, make_sphere, make_torus_mesh,
+                       assemble_laplacian, MeshError)
 from .spectrum import (Spectrum, GeometryBounds, compute_spectrum,
                        eigen_growth_check, eigenfunction_sup_bounds,
-                       truncation_index, truncation_tail_bound,
-                       TruncationError, EigensolverError)
-from .heat import (HeatEvaluator, heat_trace, decay_check, varadhan_check,
+                       truncation_index, TruncationError, EigensolverError)
+from .heat import (HeatEvaluator, decay_check, varadhan_check,
                    varadhan_time_grid)
-from .embed import (Net, EmbeddingMap, build_net, voronoi_weights,
-                    replicate_net, make_map, evaluate_map, image_distance,
-                    dilatation_report, injectivity_report,
+from .embed import (Net, EmbeddingMap, build_net, make_map, evaluate_map,
+                    image_distance, dilatation_report, injectivity_report,
                     continuous_dilatation, scan_embedding)
 
 __version__ = "0.1.0"

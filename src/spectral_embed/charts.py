@@ -1,8 +1,7 @@
 """Variable-coefficient parabolic kernels on Euclidean charts.
 
 Compares finite-difference fundamental solutions of u_t = a^{ij}(x) d_i d_j u
-against the Euclidean Gaussian, the frozen-coefficient Gaussian, and the
-truncated parametrix series, quantifying the ellipticity-linear closeness.
+against the Euclidean Gaussian, quantifying the ellipticity-linear closeness.
 Grids are restricted to one and two dimensions.
 """
 
@@ -18,10 +17,6 @@ from . import reporting
 
 
 class StabilityError(RuntimeError):
-    pass
-
-
-class QuadratureBudgetError(RuntimeError):
     pass
 
 
@@ -100,18 +95,6 @@ def identity_chart(n):
     return ChartSpec(n, coeff, 1.0 + 1e-15, 0.5, 0.0)
 
 
-def constant_chart(matrix, alpha=0.5):
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = matrix.shape[0]
-    eigs = np.linalg.eigvalsh(matrix)
-    q = max(eigs.max(), 1.0 / eigs.min())
-
-    def coeff(x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(matrix, (len(x), n, n)).copy()
-    return ChartSpec(n, coeff, float(q), alpha, 0.0)
-
-
 def bump_chart(n, q, center=0.0, width=2.0, alpha=0.5, sample_count=2001,
                sample_halfwidth=8.0):
     """Scalar bump coefficients a = (1 + (Q-1) b(x)) I with [b]_alpha <= 1.
@@ -169,45 +152,6 @@ def euclidean_kernel(x, t, y, n=None):
         n = x.shape[1]
     d2 = np.sum((x - y) ** 2, axis=1)
     return (4 * math.pi * t) ** (-n / 2.0) * np.exp(-d2 / (4.0 * t))
-
-
-def euclidean_kernel_gradient(x, t, y):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    k = euclidean_kernel(x, t, y)
-    return -(x - y) / (2.0 * t) * k[:, None]
-
-
-def frozen_kernel(x, t, y, spec):
-    """Gaussian of the operator with coefficients frozen at the source y.
-
-    Uses the matrix inverse of a^{ij}(y) in the quadratic form, the index
-    placement required for the kernel to solve the frozen equation.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    a_up = spec.coeff(y[None, :])[0]
-    a_low = np.linalg.inv(a_up)
-    det = np.linalg.det(a_low)
-    if not np.isfinite(det) or det <= 0:
-        raise ValueError("coefficient matrix at the source is singular")
-    d = x - y
-    quad = np.einsum("mi,ij,mj->m", d, a_low, d)
-    n = spec.dim
-    return math.sqrt(det) / ((2 * math.sqrt(math.pi)) ** n * t ** (n / 2.0)) \
-        * np.exp(-quad / (4.0 * t))
-
-
-def frozen_kernel_hessian(x, t, y, spec):
-    """Second spatial derivatives of the frozen kernel, (m, n, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    a_low = np.linalg.inv(spec.coeff(y[None, :])[0])
-    d = x - y
-    z = frozen_kernel(x, t, y, spec)
-    g = np.einsum("ij,mj->mi", a_low, d)
-    outer = g[:, :, None] * g[:, None, :] / (4.0 * t * t)
-    return (outer - a_low[None, :, :] / (2.0 * t)) * z[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -339,99 +283,6 @@ def solve_fd_kernel(spec, halfwidth, nodes, source, t_max, steps=1024,
     for i, f in enumerate(fields):
         stored[(i,) + inner] = f
     return GridKernel(axes, np.asarray(times), stored, y_snap, float(h))
-
-
-# ---------------------------------------------------------------------------
-# Parametrix
-# ---------------------------------------------------------------------------
-
-def _lz(spec, x, t, y):
-    """L applied to the frozen kernel: (a^{ij}(y) - a^{ij}(x)) d_i d_j Z."""
-    x = np.atleast_2d(x)
-    y = np.asarray(y, dtype=float).ravel()
-    a_x = spec.coeff(x)
-    a_y = spec.coeff(y[None, :])[0]
-    hess = frozen_kernel_hessian(x, t, y, spec)
-    return np.einsum("mij,mij->m", a_y[None, :, :] - a_x, hess)
-
-
-def parametrix_kernel(spec, source, t, depth=1, halfwidth=6.0, nodes=241,
-                      time_nodes=16, budget=2 * 10 ** 8):
-    """Truncated parametrix series on a grid at a single output time.
-
-    Returns (points, values): Z plus `depth` iterated corrections, with
-    midpoint rule in time and grid-cell sums in space.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    n = spec.dim
-    axes = tuple(np.linspace(-halfwidth, halfwidth, nodes) for _ in range(n))
-    if n == 1:
-        pts = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-    h = axes[0][1] - axes[0][0]
-    y = np.broadcast_to(np.asarray(source, dtype=float), (n,))
-
-    values = frozen_kernel(pts, t, y, spec)
-    if depth == 0:
-        return pts, values
-
-    m = len(pts)
-    cost = depth * time_nodes * m * m
-    if cost > budget:
-        raise QuadratureBudgetError(
-            f"parametrix quadrature needs ~{cost:.2e} kernel evaluations")
-
-    cell = h ** n
-    sigmas = (np.arange(time_nodes) + 0.5) * (t / time_nodes)
-    dsig = t / time_nodes
-
-    # iterates of the correction density: phi_1 = -LZ and
-    # phi_{i+1}(x,s;y) = -int_0^s int LZ(x,s-s';eta) phi_i(eta,s';y).
-    # The sign makes L(Z + int Z phi) vanish for L = d_t - a d^2.
-    phi = [-_lz(spec, pts, s, y) for s in sigmas]
-    total_phi = [p.copy() for p in phi]
-    for _ in range(1, depth):
-        nxt = []
-        for mi, s in enumerate(sigmas):
-            inner_sig = (np.arange(time_nodes) + 0.5) * (s / time_nodes)
-            acc = np.zeros(m)
-            for sj in inner_sig:
-                lz_mat = _lz_matrix(spec, pts, s - sj, pts)
-                # previous iterate sampled at the nearest midpoint (the
-                # iterates are smooth away from sigma = 0)
-                j_near = int(np.argmin(np.abs(sigmas - sj)))
-                acc -= lz_mat @ phi[j_near] * cell
-            nxt.append(acc * (s / time_nodes))
-        phi = nxt
-        for mi in range(time_nodes):
-            total_phi[mi] += phi[mi]
-
-    correction = np.zeros(m)
-    for mi, s in enumerate(sigmas):
-        z_mat = _z_matrix(spec, pts, t - s, pts)
-        correction += z_mat @ total_phi[mi] * cell
-    return pts, values + correction * dsig
-
-
-def _z_matrix(spec, xs, t, etas):
-    a_up = spec.coeff(etas)
-    a_low = np.linalg.inv(a_up)
-    det = np.linalg.det(a_low)
-    d = xs[:, None, :] - etas[None, :, :]
-    quad = np.einsum("xei,eij,xej->xe", d, a_low, d)
-    n = spec.dim
-    return np.sqrt(det)[None, :] / ((2 * math.sqrt(math.pi)) ** n
-                                    * t ** (n / 2.0)) * np.exp(-quad / (4 * t))
-
-
-def _lz_matrix(spec, xs, t, etas):
-    out = np.empty((len(xs), len(etas)))
-    for j, eta in enumerate(etas):
-        out[:, j] = _lz(spec, xs, t, eta)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class Net:
         return len(self.points)
 
 
-def build_net(manifold, delta, seed_point=None, fields=True):
+def build_net(manifold, delta, fields=True):
     """Farthest-point-sampled delta-net with Voronoi weights.
 
     Deterministic: seeded at the first canonical sample point (vertex 0 on
@@ -56,7 +56,7 @@ def build_net(manifold, delta, seed_point=None, fields=True):
     # split once more)
     stop = delta * (1.0 - 1e-12)
     candidates = manifold.sample_points()
-    chosen = [candidates[0] if seed_point is None else seed_point]
+    chosen = [candidates[0]]
     mind = manifold.distance_from(chosen[0])
     kept = [mind]
     nearest = np.zeros(len(mind), dtype=np.int64)  # ties to the lowest index
@@ -82,20 +82,6 @@ def _cell_masses(manifold, nearest, size):
     np.add.at(weights, nearest,
               manifold.sample_weights(manifold.sample_points()))
     return weights
-
-
-def voronoi_weights(manifold, net):
-    """Cell masses |A_i| of the nearest-point partition induced by the net."""
-    fields = manifold.distance_between(net.points, manifold.sample_points())
-    return _cell_masses(manifold, np.argmin(fields, axis=0), len(fields))
-
-
-def replicate_net(net, lam):
-    """Replicated point list with multiplicities ceil(|A_i| / lam)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    counts = np.ceil(net.weights / lam).astype(int)
-    return np.repeat(net.points, counts, axis=0), counts
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +126,7 @@ def map_scale(kind, dim, t):
 
 
 def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
-             eigencount=None, weights=None):
+             eigencount=None):
     if kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}")
     if kind == "kuratowski":
@@ -161,10 +147,9 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
         return EmbeddingMap(kind, "max", scale, t=t, evaluator=evaluator,
                             manifold=man, net_points=net.points)
     if kind == "H":
-        w = net.weights if weights is None else np.asarray(weights, dtype=float)
         return EmbeddingMap(kind, "euclidean", scale, t=t, evaluator=evaluator,
                             manifold=man, net_points=net.points,
-                            component_weights=np.sqrt(w))
+                            component_weights=np.sqrt(net.weights))
     if eigencount is None or eigencount < 1:
         raise ValueError("F map needs an eigenfunction count >= 1")
     if eigencount >= evaluator.spectrum.count:

@@ -107,21 +107,6 @@ def _pair_distance(ev, p, q):
                                               ev._points(q)[0])[0, 0])
 
 
-def heat_trace(spectrum, t, bounds=None):
-    """Trace sum over the computed spectrum, with the optional upper bound."""
-    if np.ndim(t) == 0:
-        value = float(np.sum(np.exp(-spectrum.eigenvalues * t)))
-    else:
-        value = np.exp(-np.outer(np.asarray(t), spectrum.eigenvalues)).sum(axis=1)
-    if bounds is None:
-        return value, None
-    n = bounds.dim
-    r_h = bounds.require_harmonic_radius()
-    bound = bounds.volume * bounds.C / (
-        bounds.a * np.minimum(np.asarray(t, dtype=float), r_h ** 2)) ** (n / 2.0)
-    return value, bound
-
-
 # ---------------------------------------------------------------------------
 # Decay bounds
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.special
 
-from . import reporting
-
 
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (non-closed, degenerate, ...)."""
@@ -449,16 +447,6 @@ def load_mesh(path):
         got += 1
 
     return TriMesh(vertices, faces)
-
-
-def save_mesh(mesh, path):
-    """Write an OFF file atomically, coordinates in shortest round-trip
-    text; the lines are built column by column."""
-    x, y, z = (map(repr, c) for c in mesh.vertices.T.tolist())
-    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
-    lines += map(" ".join, zip(x, y, z))
-    lines += map("3 {} {} {}".format, *mesh.faces.T.tolist())
-    reporting.atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -914,17 +902,6 @@ class _SphereBasis:
 def _frozen(array):
     array.flags.writeable = False
     return array
-
-
-def make_analytic(kind, **params):
-    """Closed-form backend by name: circle(length), sphere(radius), torus(periods)."""
-    if kind == "circle":
-        return Circle(params["length"])
-    if kind == "sphere":
-        return Sphere(params["radius"])
-    if kind == "torus":
-        return FlatTorus(params["periods"])
-    raise ValueError(f"unknown analytic manifold kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

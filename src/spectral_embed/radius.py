@@ -93,12 +93,6 @@ def model_volumes(n, lam, r):
     return ball, boundary
 
 
-def model_ball_lower_bound(n, lam, r):
-    """Jensen lower bound Omega_n r sinh^(n-1)(lam r / 2) / lam^(n-1)."""
-    return solid_angle(n) * r * math.sinh(lam * r / 2.0) ** (n - 1) \
-        / lam ** (n - 1)
-
-
 def segment_constant(n, lam_s):
     """Segment-inequality constant 2^(n-1) cosh^(n-1)(lam s / 2)."""
     if lam_s < 0:
@@ -135,18 +129,25 @@ def hessian_bound(n, lam_r, coth_bound, form="exact"):
     return base + ratio_term * (n - 1) * coth_bound
 
 
-def holder_constant(n, lam_r, lam_iota, form="exact"):
-    """Holder constant of distance-gradient inner products.
-
-    C = 6 (12 VolRatio(4r, r) c(n, 3 lam r) F(n, 3 lam r, coth(lam iota/16)))^(1/2).
-    """
+def _holder_terms(n, lam_r, lam_iota, form):
+    """(VolRatio(4r, r), c(n, 3 lam r), F(n, 3 lam r, coth(lam iota/16)), C)
+    with C = 6 (12 VolRatio c F)^(1/2); every radius is a multiple of the
+    product lam r, so 3 lam r is computed as 3 (lam r)."""
     ball_r, _ = model_volumes(n, 1.0, lam_r)
     ball_4r, _ = model_volumes(n, 1.0, 4.0 * lam_r)
     vol_ratio = ball_4r / ball_r
     c = segment_constant(n, 3.0 * lam_r)
     f = hessian_bound(n, 3.0 * lam_r, 1.0 / math.tanh(lam_iota / 16.0),
                       form=form)
-    return 6.0 * math.sqrt(12.0 * vol_ratio * c * f)
+    return vol_ratio, c, f, 6.0 * math.sqrt(12.0 * vol_ratio * c * f)
+
+
+def holder_constant(n, lam_r, lam_iota, form="exact"):
+    """Holder constant of distance-gradient inner products.
+
+    C = 6 (12 VolRatio(4r, r) c(n, 3 lam r) F(n, 3 lam r, coth(lam iota/16)))^(1/2).
+    """
+    return _holder_terms(n, lam_r, lam_iota, form)[3]
 
 
 CONDITION_THRESHOLDS = {
@@ -226,17 +227,16 @@ def abresch_gromoll(n, lam, big_r, r):
 
 
 def constants_sweep(n, lam, iota, radii, form="exact"):
-    """Rows (n, lam, iota, r, volratio, c, F, C, cond_dist, cond_harm)."""
+    """Rows (n, lam, iota, r, volratio, c, F, C, cond_dist, cond_harm).
+
+    The radii are taken as Python floats, so a model ball that underflows
+    divides by zero with an error instead of a numpy warning and nan.
+    """
     rows = []
-    for r in radii:
-        ball_r, _ = model_volumes(n, 1.0, lam * r)
-        ball_4r, _ = model_volumes(n, 1.0, 4.0 * lam * r)
-        c = segment_constant(n, 3.0 * lam * r)
-        f = hessian_bound(n, 3.0 * lam * r,
-                          1.0 / math.tanh(lam * iota / 16.0), form=form)
-        big_c = holder_constant(n, lam * r, lam * iota, form=form)
+    for r in map(float, radii):
+        vol_ratio, c, f, big_c = _holder_terms(n, lam * r, lam * iota, form)
         lhs = big_c * math.sqrt(lam * r)
-        rows.append((n, lam, iota, r, ball_4r / ball_r, c, f, big_c,
+        rows.append((n, lam, iota, r, vol_ratio, c, f, big_c,
                      int(lhs < 1.0 / (2 * n)), int(lhs < 1.0 / n)))
     return rows
 
@@ -419,68 +419,3 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
         float(_holder_over_faces(mesh, gram, faces, 0.5) * math.sqrt(r)),
         float(_holder_over_faces(mesh, gram, faces, 0.9) * r ** 0.9),
         int(interior.size), float(r)), harmonics
-
-
-# ---------------------------------------------------------------------------
-# Comparison-geometry checks on meshes
-# ---------------------------------------------------------------------------
-
-def ball_volume_profile(mesh, base, radii):
-    """Mesh volume of metric balls, faces weighted by inside-corner fraction."""
-    field = mesh.exact_distance_from(base) if mesh.reference is not None \
-        else mesh.graph_distance_from(base)
-    corner_d = field[mesh.faces]
-    vols = []
-    for r in radii:
-        inside = np.mean(corner_d <= r, axis=1)
-        vols.append(float(np.sum(mesh.face_areas * inside)))
-    return np.asarray(vols)
-
-
-def bishop_gromov_ratios(mesh, base, lam, radii):
-    """Vol(B_r(p)) / Vol_model(B_r) over the radii grid."""
-    vols = ball_volume_profile(mesh, base, radii)
-    model = np.array([model_volumes(mesh.dim, lam, r)[0] for r in radii])
-    return vols / model
-
-
-def laplacian_bound_check(mesh, field, lam, *, slack=0.2, min_distance,
-                          max_distance=None, ridge_angle=1.0):
-    """|Laplacian rho| <= (n-1) lam coth(lam rho) (1 + slack), off ridges.
-
-    Ridge vertices (gradient direction jumps across an edge beyond
-    `ridge_angle` radians) and their 2-ring are excluded, as is the region
-    within `min_distance` of the source: the distributional part of the
-    Laplacian lives there.  The comparison bound holds for distances up to
-    half the injectivity radius, so callers pass `max_distance = iota / 2`;
-    beyond it the two-sided estimate has no basis.
-    """
-    ops = assemble_laplacian(mesh)
-    lap = -(ops.stiffness @ field) / mesh.masses
-    grads = mesh.face_gradients(field)
-    gnorm = np.linalg.norm(grads, axis=1, keepdims=True)
-    gdir = grads / np.maximum(gnorm, 1e-30)
-
-    e, fpairs, _ = mesh.edge_adjacency()
-    cosang = np.sum(gdir[fpairs[:, 0]] * gdir[fpairs[:, 1]], axis=1)
-    ridge = np.zeros(len(mesh.vertices), dtype=bool)
-    ridge[e[cosang < math.cos(ridge_angle)].ravel()] = True
-    # grow twice along edges
-    for _ in range(2):
-        grown = ridge.copy()
-        grown[e[:, 0]] |= ridge[e[:, 1]]
-        grown[e[:, 1]] |= ridge[e[:, 0]]
-        ridge = grown
-
-    keep = (~ridge) & (field > min_distance)
-    if max_distance is not None:
-        keep &= field <= max_distance
-    n = mesh.dim
-    bound = (n - 1) * lam / np.tanh(lam * np.maximum(field, 1e-30)) \
-        * (1.0 + slack)
-    ok = np.abs(lap[keep]) <= bound[keep]
-    return bool(np.all(ok)), {
-        "checked": int(keep.sum()),
-        "violations": int(np.sum(~ok)),
-        "worst_ratio": float((np.abs(lap[keep]) / bound[keep]).max()),
-    }

@@ -237,7 +237,7 @@ def _canonical_basis(lams, vectors, masses):
     return lams, _fix_signs(vectors)
 
 
-def compute_spectrum(target, count, *, mesh=None, maxiter=None):
+def compute_spectrum(target, count, *, mesh=None):
     """First `count` eigenpairs of -Laplace, ascending, mass-orthonormal.
 
     `target` may be a TriMesh, an OperatorPair (with `mesh` supplied for
@@ -272,7 +272,7 @@ def compute_spectrum(target, count, *, mesh=None, maxiter=None):
     v0 = np.ones(nv)
     try:
         lams, vecs = spla.eigsh(d @ ops.stiffness @ d, k=count, sigma=sigma,
-                                which="LM", v0=v0, tol=0, maxiter=maxiter)
+                                which="LM", v0=v0, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
             f"eigensolver did not converge within the iteration budget: {exc}",
@@ -417,14 +417,6 @@ def _tail_terms(spectrum, t, bounds, empirical_c):
             * math.gamma(s) * scipy.special.gammaincc(s, y0)
     remainder *= empirical_c ** 2
     return terms, float(remainder)
-
-
-def truncation_tail_bound(spectrum, t, bounds, empirical_c=None, start=0):
-    """Certified upper bound for the tail sup-norms past index `start`."""
-    if empirical_c is None:
-        empirical_c = eigenfunction_sup_bounds(spectrum).empirical_constant
-    terms, remainder = _tail_terms(spectrum, t, bounds, empirical_c)
-    return float(terms[start:].sum() + remainder)
 
 
 def truncation_index(spectrum, t, eps, bounds, empirical_c=None):

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -246,8 +247,7 @@ class TestExitCodes:
         assert "check failed" not in err
 
     @pytest.mark.parametrize("error", [
-        EigensolverError, charts_mod.StabilityError,
-        charts_mod.QuadratureBudgetError])
+        EigensolverError, charts_mod.StabilityError])
     def test_solver_failure_is_a_failed_check(self, tmp_path, capsys,
                                               monkeypatch, error):
         from spectral_embed import cli
@@ -540,6 +540,24 @@ class TestSubcommands:
         assert lines[0] == "n,Lambda,iota,r,volratio,c,F,C,cond_dist,cond_harm"
         assert len(lines) == 9
 
+    # at the default radii the ball of radius r_min = 1/6400 is a normal
+    # double up to n = 74, subnormal at 75 to 77 and zero from 78 on
+    @pytest.mark.parametrize("n, code", [(74, 0), (75, 2), (100, 2)])
+    def test_constants_dimension_range(self, tmp_path, capsys, n, code):
+        cfg = write_cfg(tmp_path, f"constants.n = {n}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["constants", "--config", cfg,
+                         "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"error: constants.n = {n} " in err
+            assert "constants.r_min" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+
     def test_verify_growth(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -768,7 +786,7 @@ class TestKuratowskiRuns:
 
         cfg = RunConfig.parse(ICOSPHERE3_KURATOWSKI.replace(
             "embed.map = kuratowski", f"embed.map = {kind}"))
-        net = cli._embedding_setup(cfg, 0)[2]
+        net = cli._embedding_setup(cfg)[2]
         assert (net.fields is not None) == (kind == "kuratowski")
 
     @pytest.mark.parametrize("count, message", [

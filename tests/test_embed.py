@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from spectral_embed.manifold import (Circle, FlatTorus, Sphere, make_sphere,
                                      make_torus_mesh)
@@ -11,11 +10,21 @@ from spectral_embed.heat import HeatEvaluator
 from spectral_embed.embed import (
     Net, build_net, continuous_dilatation, dilatation_report, evaluate_map,
     image_distance, injectivity_report, make_map, map_features, map_scale,
-    replicate_net, sample_far_pairs, sample_near_pairs, scan_embedding,
-    voronoi_weights)
+    sample_far_pairs, sample_near_pairs, scan_embedding)
 
 
 CIRCLE = Circle(2 * np.pi, samples=4096)
+
+
+def voronoi_weights(manifold, net):
+    """Cell masses |A_i| of the nearest-point partition induced by the net:
+    every sample point's weight goes to its nearest net point, ties to the
+    lowest index, found from the full distance matrix."""
+    fields = manifold.distance_between(net.points, manifold.sample_points())
+    weights = np.zeros(len(fields))
+    np.add.at(weights, np.argmin(fields, axis=0),
+              manifold.sample_weights(manifold.sample_points()))
+    return weights
 
 
 @pytest.fixture(scope="module")
@@ -97,36 +106,21 @@ class TestVoronoi:
 
 
 class TestReplicate:
-    def test_single_copy_when_lambda_large(self, fine_net):
-        points, counts = replicate_net(fine_net, fine_net.weights.max() + 1.0)
-        assert np.all(counts == 1)
-        assert len(points) == len(fine_net)
-
-    def test_ceiling_arithmetic(self):
-        net = Net(np.array([[0.0], [1.0]]), 0.5, np.array([2.5, 1.1]))
-        _, counts = replicate_net(net, 1.0)
-        assert list(counts) == [3, 2]
-
-    @settings(max_examples=50, deadline=None)
-    @given(w=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=6),
-           lam=st.floats(0.01, 5.0))
-    def test_replication_error_below_lambda(self, w, lam):
-        net = Net(np.arange(len(w))[:, None] * 1.0, 1.0, np.asarray(w))
-        _, counts = replicate_net(net, lam)
-        assert np.all(np.abs(lam * counts - np.asarray(w)) < lam)
+    # replicating each net point ceil(|A_i| / lam) times, each copy of
+    # weight lam, turns the Voronoi-weighted H map into a uniform one
 
     def test_uniform_weight_composition_matches(self, circle_ev):
         # each cell split into 4 equal copies reproduces distances exactly
         points8 = (np.arange(8) * (2 * np.pi / 8))[:, None]
         net = Net(points8, np.pi / 4, np.full(8, 2 * np.pi / 8))
         lam = (2 * np.pi / 8) / 4
-        points, counts = replicate_net(net, lam)
+        counts = np.ceil(net.weights / lam).astype(int)
+        points = np.repeat(net.points, counts, axis=0)
         assert np.all(counts == 4)
         t = 0.1
         h_map = make_map("H", evaluator=circle_ev, net=net, t=t)
         rep_net = Net(points, net.delta, np.full(len(points), lam))
-        h_rep = make_map("H", evaluator=circle_ev, net=rep_net, t=t,
-                         weights=rep_net.weights)
+        h_rep = make_map("H", evaluator=circle_ev, net=rep_net, t=t)
         X = CIRCLE.sample_points(32)
         for i in (0, 5, 17):
             dx = image_distance(h_map, evaluate_map(h_map, X[i:i + 1]),
@@ -148,10 +142,10 @@ class TestReplicate:
         # squared component differences per unit cell weight
         comp_sq = (fx - fy)[0] ** 2 / net.weights
         for lam in (0.2, 0.09, 0.013, 0.0017):
-            points, counts = replicate_net(net, lam)
+            counts = np.ceil(net.weights / lam).astype(int)
+            points = np.repeat(net.points, counts, axis=0)
             rep_net = Net(points, net.delta, np.full(len(points), lam))
-            h_rep = make_map("H", evaluator=circle_ev, net=rep_net, t=t,
-                             weights=rep_net.weights)
+            h_rep = make_map("H", evaluator=circle_ev, net=rep_net, t=t)
             d = image_distance(h_rep, evaluate_map(h_rep, x),
                                evaluate_map(h_rep, y))[0]
             assert abs(d ** 2 - target ** 2) <= lam * comp_sq.sum() + 1e-14

@@ -6,8 +6,7 @@ import pytest
 from spectral_embed.manifold import Circle, make_sphere
 from spectral_embed.spectrum import GeometryBounds, compute_spectrum
 from spectral_embed.heat import (HeatEvaluator, decay_check, decay_value_bound,
-                                 heat_trace, varadhan_check,
-                                 varadhan_time_grid)
+                                 varadhan_check, varadhan_time_grid)
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -78,9 +77,14 @@ class TestKernel:
         assert ev.integrate_from(3, 0.2) == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_up_to_tail(self, circle_spec):
-        from spectral_embed.spectrum import truncation_tail_bound
+        from spectral_embed.spectrum import (_tail_terms,
+                                             eigenfunction_sup_bounds)
         ev = HeatEvaluator(circle_spec, 40)
-        eps = truncation_tail_bound(circle_spec, 0.05, CALIBRATED, start=40)
+        # the certified tail past index 40, as truncation_index sums it
+        terms, remainder = _tail_terms(
+            circle_spec, 0.05, CALIBRATED,
+            eigenfunction_sup_bounds(circle_spec).empirical_constant)
+        eps = terms[40:].sum() + remainder
         P = CIRCLE.sample_points(256)
         vals = ev.kernel_matrix(P, 0.05, P)
         assert vals.min() >= -eps
@@ -130,29 +134,6 @@ class TestGradient:
             g_true = exact.gradient(P[p], t, P[q])
             scale = max(np.linalg.norm(g_true), 0.05)
             assert np.linalg.norm(g_mesh - g_true) < 0.08 * scale
-
-
-class TestTrace:
-    def test_long_time(self, circle_spec):
-        val, _ = heat_trace(circle_spec, 50.0)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_circle_t1_value(self, circle_spec):
-        val, _ = heat_trace(circle_spec, 1.0)
-        oracle = 1 + 2 * sum(np.exp(-k ** 2) for k in range(1, 40))
-        assert val == pytest.approx(oracle, rel=1e-12)
-
-    def test_strictly_decreasing(self, circle_spec):
-        ts = np.linspace(0.05, 3.0, 24)
-        vals, _ = heat_trace(circle_spec, ts)
-        assert np.all(np.diff(vals) < 0)
-
-    def test_bound_comparison(self, circle_spec):
-        # with the valid generous defaults the trace bound dominates
-        bounds = GeometryBounds(dim=1, iota=np.pi, volume=2 * np.pi, r_h=1.0)
-        for t in (0.2, 1.0, 3.0):
-            val, bound = heat_trace(circle_spec, t, bounds)
-            assert val <= bound
 
 
 class TestDecay:

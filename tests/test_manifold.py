@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from spectral_embed import manifold, radius
+from spectral_embed import manifold, reporting
 from spectral_embed.manifold import (
-    Circle, FlatTorus, MeshError, TriMesh, assemble_laplacian,
-    load_mesh, make_analytic, make_sphere, make_torus_mesh, save_mesh)
+    Circle, FlatTorus, MeshError, Sphere, TriMesh, assemble_laplacian,
+    load_mesh, make_sphere, make_torus_mesh)
 
 
 OCTAHEDRON = """OFF
@@ -34,6 +34,16 @@ def write(tmp_path, text, name="mesh.off"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def save_mesh(mesh, path):
+    """Write an OFF file atomically, coordinates in shortest round-trip
+    text; the lines are built column by column."""
+    x, y, z = (map(repr, c) for c in mesh.vertices.T.tolist())
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
+    lines += map(" ".join, zip(x, y, z))
+    lines += map("3 {} {} {}".format, *mesh.faces.T.tolist())
+    reporting.atomic_write(path, "\n".join(lines) + "\n")
 
 
 class TestLoadMesh:
@@ -130,7 +140,7 @@ class TestLoadMesh:
         def fail(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr(manifold.reporting.os, "replace", fail)
+        monkeypatch.setattr(reporting.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             save_mesh(make_sphere(1.0, 1), str(path))
         assert path.read_text() == "previous\n"
@@ -238,8 +248,6 @@ def test_edge_structure_is_derived_once(monkeypatch):
     mesh.mean_edge_length()
     mesh.tangent_frames()
     mesh.distance_between([0, 3], [1, 2, 5])
-    radius.laplacian_bound_check(mesh, mesh.graph_distance_from(0), 1.0,
-                                 min_distance=0.2)
     assert builds == [mesh]
     assert "np.unique" not in inspect.getsource(manifold)
 
@@ -481,13 +489,13 @@ def test_flat_torus_distance_matches_broadcast_norm(torus):
 
 class TestAnalytic:
     def test_circle(self):
-        c = make_analytic("circle", length=2 * np.pi)
+        c = Circle(2 * np.pi)
         assert c.volume == pytest.approx(2 * np.pi)
         basis = c.eigenbasis(5)
         assert np.allclose(basis.eigenvalues, [0, 1, 1, 4, 4])
 
     def test_thin_torus_gap(self):
-        t = make_analytic("torus", periods=(2 * np.pi, 2 * np.pi * 0.1))
+        t = FlatTorus((2 * np.pi, 2 * np.pi * 0.1))
         lams = t.eigenbasis(25).eigenvalues
         nonzero = lams[lams > 1e-12]
         assert nonzero[0] == pytest.approx(1.0)
@@ -496,22 +504,18 @@ class TestAnalytic:
         assert len(fiber) >= 2
 
     def test_sphere_bands(self):
-        s = make_analytic("sphere", radius=1.0)
+        s = Sphere(1.0)
         lams = s.eigenbasis(16).eigenvalues
         expected = [0.0] + [2.0] * 3 + [6.0] * 5 + [12.0] * 7
         assert np.allclose(lams, expected)
 
     def test_positive_params_required(self):
         with pytest.raises(ValueError):
-            make_analytic("circle", length=-1.0)
+            Circle(-1.0)
         with pytest.raises(ValueError):
-            make_analytic("torus", periods=(1.0, 0.0))
+            FlatTorus((1.0, 0.0))
         with pytest.raises(ValueError):
-            make_analytic("sphere", radius=0.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_analytic("klein_bottle")
+            Sphere(0.0)
 
     @pytest.mark.parametrize("kind, params", [
         ("torus", {"periods": (1.0, np.nan)}),
@@ -522,7 +526,8 @@ class TestAnalytic:
     ])
     def test_non_finite_params_rejected(self, kind, params):
         with pytest.raises(ValueError, match="finite"):
-            make_analytic(kind, **params)
+            {"circle": Circle, "sphere": Sphere, "torus": FlatTorus}[kind](
+                **params)
 
     def test_circle_is_one_dimensional_torus(self):
         circle = Circle(2 * np.pi)
@@ -541,8 +546,8 @@ class TestAnalytic:
 
 _PROTOCOL_BACKENDS = {
     "icosphere2": lambda: make_sphere(1.0, 2),
-    "sphere": lambda: make_analytic("sphere", radius=1.3),
-    "torus": lambda: make_analytic("torus", periods=(2.0, 3.0)),
+    "sphere": lambda: Sphere(1.3),
+    "torus": lambda: FlatTorus((2.0, 3.0)),
     "circle": lambda: Circle(5.0),
 }
 
@@ -687,7 +692,7 @@ class TestLaplacian:
 
 class TestSphereHarmonics:
     def test_orthonormal_on_sample(self):
-        s = make_analytic("sphere", radius=1.0)
+        s = Sphere(1.0)
         basis = s.eigenbasis(9)
         P = s.sample_points(4000)
         w = s.sample_weights(P)
@@ -696,7 +701,7 @@ class TestSphereHarmonics:
         assert np.abs(gram - np.eye(9)).max() < 0.01
 
     def test_gradients_match_finite_differences(self):
-        s = make_analytic("sphere", radius=1.0)
+        s = Sphere(1.0)
         basis = s.eigenbasis(9)
         rng = np.random.default_rng(0)
         P = s.sample_points(500)[rng.integers(0, 500, size=4)]
@@ -711,7 +716,7 @@ class TestSphereHarmonics:
                 assert np.allclose(G[i] @ v, fd, atol=1e-5)
 
     def test_gradients_tangent(self):
-        s = make_analytic("sphere", radius=2.0)
+        s = Sphere(2.0)
         basis = s.eigenbasis(16)
         P = s.sample_points(64)
         G = basis.gradients(P)
@@ -775,7 +780,7 @@ class TestSphereAllDegrees:
     # 400: l = 0..19, the benchmark's sphere_sup_bounds basis
     @pytest.mark.parametrize("count", [1, 40, 225, 400])
     def test_values_and_gradients_match_per_label_calls(self, count):
-        s = make_analytic("sphere", radius=1.3)
+        s = Sphere(1.3)
         basis = s.eigenbasis(count)
         # more points than one evaluation block, plus both poles and the
         # phi = +-pi seam
@@ -788,7 +793,7 @@ class TestSphereAllDegrees:
         assert got.tobytes() == ref.tobytes()
 
     def test_sup_norms_match_per_label_calls(self):
-        s = make_analytic("sphere", radius=1.0)
+        s = Sphere(1.0)
         basis = s.eigenbasis(400)
         P = s.sample_points()
         assert len(P) == 2000
@@ -803,7 +808,7 @@ class TestSphereAllDegrees:
     def test_sup_norms_match_full_arrays(self, count, radius):
         # the one-sweep sup norms against the (points, K) values and the
         # (points, K, 3) gradients reduced whole, the former path
-        s = make_analytic("sphere", radius=radius)
+        s = Sphere(radius)
         basis = s.eigenbasis(count)
         P = s.sample_points()
         sup = np.abs(basis.values(P)).max(axis=0)
@@ -813,7 +818,7 @@ class TestSphereAllDegrees:
         assert basis.grad_sup_norms().tobytes() == gsup.tobytes()
 
     def test_sup_norms_computed_once(self):
-        s = make_analytic("sphere", radius=1.0, samples=300)
+        s = Sphere(1.0)
         basis = s.eigenbasis(16)
         sup, gsup = basis.sup_norms(), basis.grad_sup_norms()
         assert basis.sup_norms() is sup and basis.grad_sup_norms() is gsup

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from spectral_embed import manifold, radius
 from spectral_embed.manifold import TriMesh, make_sphere, make_torus_mesh
 from spectral_embed.radius import (
-    abresch_gromoll, ball_volume_profile, bishop_gromov_ratios,
-    constants_sweep, coordinate_radius, distance_coordinates_experiment,
-    harmonic_coordinates_experiment, hessian_bound,
-    holder_constant, laplacian_bound_check, model_ball_lower_bound,
-    model_volumes, segment_constant, solid_angle)
+    abresch_gromoll, constants_sweep, coordinate_radius,
+    distance_coordinates_experiment, harmonic_coordinates_experiment,
+    hessian_bound, holder_constant, model_volumes, segment_constant,
+    solid_angle)
 
 
 def mp_holder_constant(n, lam_r, lam_iota):
@@ -46,6 +46,12 @@ def mp_ball_volume(n, x):
                            / (k - 2 * j)) for j in range(k + 1))
         return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) \
             * total / mp.mpf(2) ** k
+
+
+def model_ball_lower_bound(n, lam, r):
+    """Jensen lower bound Omega_n r sinh^(n-1)(lam r / 2) / lam^(n-1)."""
+    return solid_angle(n) * r * math.sinh(lam * r / 2.0) ** (n - 1) \
+        / lam ** (n - 1)
 
 
 class TestModelVolumes:
@@ -245,6 +251,30 @@ class TestConstantsSweep:
         assert rows[0][8] == 1
         assert rows[1][8] == 0
 
+    def test_underflowed_ball_raises_without_a_numpy_warning(self):
+        # at n = 100 the ball of radius 1/6400 is 0.0: a Python division
+        # error, not a numpy RuntimeWarning and nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                constants_sweep(100, 1.0, 1.0, np.geomspace(1 / 6400, 0.01, 4))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_columns_are_the_pieces_of_the_holder_constant(self, n):
+        # volratio, c and F are taken at 4 (lam r) and 3 (lam r), the radii
+        # holder_constant builds C from; at lam = 1.7, 3 (lam r) differs
+        # from (3 lam) r in 14 of these 32 radii
+        lam, iota = 1.7, 1.0
+        coth = 1.0 / math.tanh(lam * iota / 16.0)
+        for row in constants_sweep(n, lam, iota,
+                                   np.geomspace(1 / 6400, 0.999 / 64, 32)):
+            lam_r = lam * row[3]
+            assert row[4] == model_volumes(n, 1.0, 4.0 * lam_r)[0] \
+                / model_volumes(n, 1.0, lam_r)[0]
+            assert row[5] == segment_constant(n, 3.0 * lam_r)
+            assert row[6] == hessian_bound(n, 3.0 * lam_r, coth)
+            assert row[7] == holder_constant(n, lam_r, lam * iota)
+
 
 @pytest.fixture(scope="module")
 def torus_mesh():
@@ -304,31 +334,6 @@ class TestMeshExperiments:
         widen = 3.0 * hrep.sup_deviation + 0.02
         assert hrep.gram_eigen_min >= drep.gram_eigen_min - widen
         assert hrep.gram_eigen_max <= drep.gram_eigen_max + widen
-
-    def test_bishop_gromov_monotone(self, sphere_mesh):
-        radii = np.linspace(0.3, 2.4, 8)
-        ratios = bishop_gromov_ratios(sphere_mesh, 0, 0.7, radii)
-        assert np.all(np.diff(ratios) <= 0.02 * ratios[:-1])
-
-    def test_ball_volume_profile_increasing(self, sphere_mesh):
-        vols = ball_volume_profile(sphere_mesh, 0, [0.5, 1.0, 2.0, 3.1])
-        assert np.all(np.diff(vols) > 0)
-        assert vols[-1] <= sphere_mesh.volume + 1e-9
-
-    def test_laplacian_bound_sphere(self, sphere_mesh):
-        field = sphere_mesh.exact_distance_from(0)
-        ok, info = laplacian_bound_check(sphere_mesh, field, 0.3,
-                                         min_distance=0.3,
-                                         max_distance=np.pi / 2)
-        assert ok, info
-        assert info["checked"] > 500
-
-    def test_laplacian_bound_torus(self, torus_mesh):
-        field = torus_mesh.exact_distance_from(0)
-        ok, info = laplacian_bound_check(torus_mesh, field, 0.1,
-                                         min_distance=0.3,
-                                         max_distance=np.pi / 2)
-        assert ok, info
 
 
 def _hex(*values):
