@@ -181,14 +181,6 @@ class GridKernel:
     def mass(self, ti):
         return float(self.values[ti].sum() * self.spacing ** self.dim)
 
-    def boundary_contact(self, ti, tol=1e-8):
-        """Largest kernel magnitude on the box boundary at a stored time."""
-        v = self.values[ti]
-        if self.dim == 1:
-            return float(max(abs(v[0]), abs(v[-1])))
-        return float(max(np.abs(v[0, :]).max(), np.abs(v[-1, :]).max(),
-                         np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max()))
-
 
 def _laplacian_operator(spec, axes, h):
     """Sparse non-divergence operator -a^{ij} d_i d_j on interior nodes."""

@@ -34,6 +34,10 @@ from .radius import constants_sweep, model_volumes
 # ValueError, not MemoryError, so size keys are capped at or below it.
 MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
+# The certified truncation tail sums one term per index up to the growth
+# threshold: 2^20 indices take about 0.07 s and 60 MiB per evaluation.
+MAX_TAIL_WINDOW = 2 ** 20
+
 
 class ConfigError(ValueError):
     pass
@@ -164,7 +168,7 @@ def parse_value(name, raw):
 
 
 class RunConfig:
-    """Flat dotted-key configuration with round-trip serialization."""
+    """Flat dotted-key configuration."""
 
     def __init__(self, entries=None):
         self.entries = dict(entries or {})
@@ -192,10 +196,6 @@ class RunConfig:
                 return cls.parse(fh.read(), origin=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-    def dump(self):
-        lines = [f"{k} = {v}" for k, v in sorted(self.entries.items())]
-        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.entries == other.entries
@@ -276,6 +276,21 @@ def build_bounds(cfg, manifold):
         r_h=cfg.value("bounds.r_h"))
 
 
+def _check_tail_window(bounds):
+    """The truncation tail sums every index up to the growth threshold."""
+    try:
+        threshold = bounds.growth_threshold()
+        where = (f"at {threshold!r}, past the {MAX_TAIL_WINDOW} indices the "
+                 f"truncation tail sums")
+    except ArithmeticError:  # a^(n/2) or r_h^n past the doubles
+        threshold, where = math.nan, "outside the double range"
+    if not threshold <= MAX_TAIL_WINDOW:
+        raise ConfigError(
+            f"bounds.c = {bounds.C!r}, bounds.volume = {bounds.volume!r}, "
+            f"bounds.a = {bounds.a!r} and bounds.r_h = {bounds.r_h!r} put "
+            f"the growth threshold C V e^(n/2) / (a^(n/2) r_h^n) {where}")
+
+
 def _write_summary(outdir, name, cfg, entries):
     reporting.write_report(os.path.join(outdir, name),
                            {**entries, **cfg.report_entries()})
@@ -311,6 +326,15 @@ def cmd_constants(cfg, outdir, seed, scan):
         raise ConfigError(f"constants.n = {n} puts the model ball of radius "
                           f"constants.r_min = {r_min!r} (constants.lambda = "
                           f"{lam!r}) below the normal double range")
+    # and the Holder constant C grows with r: at r_max it must stay finite
+    try:
+        top = constants_sweep(n, lam, iota, [r_max])[0][7]
+    except OverflowError:  # math.sinh or a power past the largest double
+        top = math.inf
+    if not top < math.inf:
+        raise ConfigError(f"constants.lambda = {lam!r} and constants.r_max = "
+                          f"{r_max!r} (constants.n = {n}) put the Holder "
+                          f"constant past the largest double")
     radii = np.geomspace(r_min, r_max, cfg.value("constants.steps"))
     rows = constants_sweep(n, lam, iota, radii)
     reporting.write_csv(os.path.join(outdir, "constants.csv"),
@@ -457,6 +481,7 @@ def _pairs_at_distances(man, distances):
 def verify_varadhan(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
+    _check_tail_window(bounds)
     spec = build_spectrum(cfg, man, 700)
     ev = HeatEvaluator(spec, spec.count - 1)
     distances = cfg.value("verify.distances", [0.5, 1.0, math.pi])
@@ -493,6 +518,7 @@ def verify_injectivity(cfg, outdir, seed):
 def verify_truncation(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
+    _check_tail_window(bounds)
     spec = build_spectrum(cfg, man, 200)
     rng = np.random.default_rng(seed)
     samples = cfg.value("verify.samples")

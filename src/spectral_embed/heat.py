@@ -93,13 +93,6 @@ class HeatEvaluator:
         return (eps * math.sqrt(max(kpp * kqq, 0.0)),
                 eps * math.sqrt(max(gpp * kqq, 0.0)))
 
-    def integrate_from(self, p, t):
-        """Quadrature of K_N(p,t;.) against the volume measure."""
-        man = self.manifold
-        Q = man.sample_points()
-        row = self.kernel_matrix(self._points(p)[0], t, Q)
-        return float((row @ man.sample_weights(Q)).ravel()[0])
-
 
 def _pair_distance(ev, p, q):
     """Geodesic distance between two single points."""

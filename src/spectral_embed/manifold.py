@@ -69,7 +69,7 @@ class TriMesh:
         self.reference = reference
         self.dim = 2
         self._frames = None
-        self._edge_table = self._build_edge_table()
+        self._half_edge_order = self._build_edge_table()
 
         # per column: an axis-0 reduction over (V, 3) rows is far slower
         bbox = np.array([np.ptp(x) for x in self.vertices.T])
@@ -136,7 +136,8 @@ class TriMesh:
 
     def _build_edge_table(self):
         """Check that the mesh is closed, oriented and connected; return the
-        (E, 2) edges (i < j, sorted) and the (E, 2) half-edges of each.
+        half-edges in edge order, the two halves of each edge side by side,
+        from which `_edge_table` builds the edges when they are first read.
 
         Half-edge ``c*F + i`` is the directed edge opposite corner c of face
         i.  One stable sort by undirected key, then direction, puts repeated
@@ -174,7 +175,7 @@ class TriMesh:
             raise MeshError("non-closed mesh: boundary edge "
                             + smallest(key[starts[:-1] & starts[1:]]))
         del key
-        first, second = order[0::2], order[1::2]  # the j->i, i->j halves
+        second = order[1::2]  # the i->j halves
         i, j = lo[second], hi[second]
         del lo, hi
         # the edges are sorted by (i, j): row counts give the CSR row starts
@@ -185,7 +186,20 @@ class TriMesh:
         components = csgraph.connected_components(graph, directed=False)[0]
         if components > 1:
             raise MeshError(f"disconnected mesh: {components} components")
-        return (_frozen(np.column_stack([i, j])),
+        return order
+
+    @functools.cached_property
+    def _edge_table(self):
+        """The (E, 2) edges (i < j, sorted) and the (E, 2) half-edges of
+        each, lower first."""
+        order = self._half_edge_order
+        del self._half_edge_order
+        first, second = order[0::2], order[1::2]  # the j->i, i->j halves
+        # half-edge c*F + f runs from corner c + 1 to corner c + 2 of face f
+        corner, face = np.divmod(second, len(self.faces))
+        edges = np.column_stack([self.faces[face, (corner + 1) % 3],
+                                 self.faces[face, (corner + 2) % 3]])
+        return (_frozen(edges),
                 _frozen(np.column_stack([np.minimum(first, second),
                                          np.maximum(first, second)])))
 

@@ -30,8 +30,9 @@ def format_report(entries):
     return "\n".join(lines) + "\n"
 
 
-def atomic_write(path, text):
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write(path, data):
+    """Write `data` (text, or bytes as given) via a temp file in the same
+    directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -39,8 +40,8 @@ def atomic_write(path, text):
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

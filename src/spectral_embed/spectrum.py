@@ -7,7 +7,9 @@ bounds and the heat-kernel truncation index.
 """
 
 import functools
+import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,14 +450,14 @@ def truncation_index(spectrum, t, eps, bounds, empirical_c=None):
 
 
 def export_spectrum(spectrum, directory):
-    """CSV export: eigenvalues plus one value-per-vertex file per mode."""
-    import os
-    os.makedirs(directory, exist_ok=True)
+    """eigenvalues.csv, and eigenfunctions.npy: the float64, C-order
+    (samples, count) array whose row i is sample point i (vertex i on a
+    mesh) and column k mode k, exact where CSV text would be bound by repr."""
     reporting.write_csv(os.path.join(directory, "eigenvalues.csv"),
                         ["k", "lambda"],
                         enumerate(spectrum.eigenvalues.tolist()))
     values = spectrum.values(spectrum.manifold.sample_points())
-    for k in range(spectrum.count):
-        reporting.write_csv(
-            os.path.join(directory, f"eigenfunction_{k:04d}.csv"),
-            ["vertex", "value"], enumerate(values[:, k].tolist()))
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(values, dtype=np.float64))
+    reporting.atomic_write(os.path.join(directory, "eigenfunctions.npy"),
+                           buf.getvalue())

@@ -203,6 +203,15 @@ class TestHolderSeminorm:
         assert bump_chart(1, q).seminorm == float.fromhex(seminorm)
 
 
+def boundary_contact(gk, ti):
+    """Largest kernel magnitude on the box boundary at a stored time."""
+    v = gk.values[ti]
+    if gk.dim == 1:
+        return float(max(abs(v[0]), abs(v[-1])))
+    return float(max(np.abs(v[0, :]).max(), np.abs(v[-1, :]).max(),
+                     np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max()))
+
+
 @pytest.fixture(scope="module")
 def const_kernel():
     return solve_fd_kernel(identity_chart(1), 6.0, 81, 0.0, 0.25,
@@ -234,7 +243,7 @@ class TestFiniteDifferenceKernel:
 
     def test_mass_conserved_before_boundary_contact(self, const_kernel):
         for ti in range(1, len(const_kernel.times)):
-            if const_kernel.boundary_contact(ti) > 1e-8:
+            if boundary_contact(const_kernel, ti) > 1e-8:
                 break
             assert const_kernel.mass(ti) == pytest.approx(1.0, abs=1e-6)
 

@@ -1,3 +1,4 @@
+import errno
 import functools
 import os
 import re
@@ -16,7 +17,8 @@ from spectral_embed import charts as charts_mod
 from spectral_embed.cli import (KEYS, MAX_FLOATS, VERIFY_TARGETS, ConfigError,
                                 RunConfig, main)
 from spectral_embed.manifold import Circle, make_sphere
-from spectral_embed.spectrum import EigensolverError
+from spectral_embed.spectrum import (EigensolverError, compute_spectrum,
+                                     export_spectrum)
 
 
 CIRCLE_CFG = """
@@ -47,10 +49,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def dump(cfg):
+    """The config's entries as key = value lines, sorted by key."""
+    lines = [f"{k} = {v}" for k, v in sorted(cfg.entries.items())]
+    return "\n".join(lines) + "\n"
+
+
 class TestRunConfig:
     def test_round_trip_equality(self):
         cfg = RunConfig.parse(CIRCLE_CFG)
-        again = RunConfig.parse(cfg.dump())
+        again = RunConfig.parse(dump(cfg))
         assert cfg == again
 
     def test_comments_and_blanks_ignored(self):
@@ -558,6 +566,67 @@ class TestSubcommands:
         else:
             assert err == ""
 
+    # at n = 2 and the default r_max, C is inf from lambda = 9967 on, and
+    # sinh overflows at 4 lambda r_max from lambda = 11379 on
+    @pytest.mark.parametrize("lam, code", [(1000, 0), (10000, 2),
+                                           (100000, 2)])
+    def test_constants_lambda_range(self, tmp_path, capsys, lam, code):
+        cfg = write_cfg(tmp_path, f"constants.lambda = {lam}\n")
+        out = tmp_path / "out"
+        assert main(["constants", "--config", cfg,
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"error: constants.lambda = {float(lam)!r} " in err
+            assert "constants.r_max" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert np.isfinite(np.loadtxt(out / "constants.csv",
+                                          delimiter=",", skiprows=1)).all()
+
+    # the circle bounds give the growth threshold 2.5066 c; the tail window
+    # holds 2^20 indices
+    @pytest.mark.parametrize("target", ["truncation", "varadhan"])
+    @pytest.mark.parametrize("key, value, code", [
+        ("bounds.c", "1e300", 2), ("bounds.volume", "1e300", 2),
+        ("bounds.r_h", "5e-324", 2), ("bounds.r_h", "1e-7", 2),
+        ("bounds.c", repr(1.01 * 2 ** 20 / 2.5066), 2),
+        ("bounds.c", repr(0.99 * 2 ** 20 / 2.5066), (0, 1))])
+    def test_tail_window_bounds(self, tmp_path, capsys, target, key, value,
+                                code):
+        text = "\n".join(line for line in CIRCLE_CFG.splitlines()
+                         if not line.startswith(key + " "))
+        cfg = write_cfg(tmp_path, text + f"\n{key} = {value}\n"
+                        "verify.samples = 1\nverify.distances = 1.0\n")
+        out = tmp_path / "out"
+        got = main(["verify", target, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert got == 2
+            assert err.startswith("error: bounds.c = ")
+            for name in ("bounds.volume", "bounds.a", "bounds.r_h"):
+                assert f" {name} = " in err
+            assert not out.exists()
+        else:
+            assert got in code and "bounds." not in err
+
+    @pytest.mark.parametrize("target", ["truncation", "varadhan"])
+    def test_growth_threshold_past_the_doubles(self, tmp_path, capsys,
+                                               target):
+        # on a 3-torus a^(3/2) overflows
+        cfg = write_cfg(tmp_path, "manifold.kind = torus\n"
+                        "manifold.periods = 1.0,2.0,3.0\n"
+                        "bounds.r_h = 1.0\nbounds.a = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["verify", target, "--config", cfg,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bounds.c = 8.0, ")
+        assert "bounds.a = 1e+300 " in err
+        assert err.endswith("outside the double range\n")
+        assert not out.exists()
+
     def test_verify_growth(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -653,9 +722,17 @@ class TestExportSurfaces:
         cfg = write_cfg(tmp_path, CIRCLE_CFG + "spectrum.count = 4\n")
         out = str(tmp_path / "out")
         assert main(["spectrum", "--config", cfg, "--out", out]) == 0
-        func = tmp_path / "out" / "spectrum" / "eigenfunction_0001.csv"
-        assert func.exists()
-        assert func.read_text().splitlines()[0] == "vertex,value"
+        spectrum = tmp_path / "out" / "spectrum"
+        assert sorted(p.name for p in spectrum.iterdir()) == [
+            "eigenfunctions.npy", "eigenvalues.csv"]
+        with open(spectrum / "eigenfunctions.npy", "rb") as fh:
+            np.lib.format.read_magic(fh)
+            header = np.lib.format.read_array_header_1_0(fh)
+        assert header == ((2048, 4), False, np.dtype("<f8"))
+        values = np.load(spectrum / "eigenfunctions.npy")
+        man = Circle(2 * np.pi, samples=2048)
+        expected = compute_spectrum(man, 4).values(man.sample_points())
+        assert values.tobytes() == expected.tobytes()
 
     def test_verify_isometry_and_injectivity(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG + "spectrum.count = 120\n"
@@ -882,7 +959,7 @@ def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_mesh_spectrum_bytes_independent_of_blas_threads(tmp_path):
-    # the eigenfunction files hold the eigenspace-canonical basis, which
+    # the eigenfunction array holds the eigenspace-canonical basis, which
     # must not depend on the BLAS pool either
     cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
                     "manifold.subdivisions = 3\nspectrum.count = 40\n")
@@ -895,10 +972,57 @@ def test_mesh_spectrum_bytes_independent_of_blas_threads(tmp_path):
             env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        trees.append({p.name: p.read_bytes()
-                      for p in sorted(out.glob("spectrum/eigenfunction_*"))})
-    assert len(trees[0]) == 40
+        trees.append((out / "spectrum" / "eigenfunctions.npy").read_bytes())
+    assert np.load(tmp_path / "threads1" / "spectrum" /
+                   "eigenfunctions.npy").shape == (642, 40)
     assert trees[0] == trees[1]
+
+
+def test_spectrum_array_is_byte_stable_and_follows_umask(tmp_path):
+    cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
+                    "manifold.subdivisions = 2\nspectrum.count = 12\n")
+    arrays = []
+    old = os.umask(0o022)
+    try:
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            path = out / "spectrum" / "eigenfunctions.npy"
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+            arrays.append(path.read_bytes())
+    finally:
+        os.umask(old)
+    assert arrays[0] == arrays[1]
+
+
+def test_failed_array_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    from spectral_embed import reporting
+    fdopen = os.fdopen
+
+    class FullDisk:
+        """A binary file that takes half the data, then reports ENOSPC."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(reporting.os, "fdopen", lambda fd, mode: (
+        FullDisk(fdopen(fd, mode)) if "b" in mode else fdopen(fd, mode)))
+    directory = tmp_path / "spectrum"
+    with pytest.raises(OSError, match="No space left"):
+        export_spectrum(compute_spectrum(make_sphere(1.0, 1), 6),
+                        str(directory))
+    assert sorted(p.name for p in directory.iterdir()) == ["eigenvalues.csv"]
 
 
 def test_cli_import_leaves_quadrature_unloaded(tmp_path):

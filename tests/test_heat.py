@@ -22,6 +22,14 @@ def circle_kernel_oracle(d, t, images=30):
         / np.sqrt(4 * np.pi * t)
 
 
+def integrate_from(ev, p, t):
+    """Quadrature of K_N(p,t;.) against the volume measure."""
+    man = ev.manifold
+    Q = man.sample_points()
+    row = ev.kernel_matrix(ev._points(p)[0], t, Q)
+    return float((row @ man.sample_weights(Q)).ravel()[0])
+
+
 @pytest.fixture(scope="module")
 def circle_spec():
     return compute_spectrum(CIRCLE, 300)
@@ -66,7 +74,7 @@ class TestKernel:
             HeatEvaluator(circle_spec, circle_spec.count)
 
     def test_unit_mass(self, circle_ev):
-        assert circle_ev.integrate_from(np.array([0.7]), 0.4) \
+        assert integrate_from(circle_ev, np.array([0.7]), 0.4) \
             == pytest.approx(1.0, abs=1e-8)
 
     def test_unit_mass_on_mesh(self):
@@ -74,7 +82,7 @@ class TestKernel:
         ev = HeatEvaluator(spec, 9)
         # only the constant mode integrates to a nonzero value, exactly in
         # the mesh quadrature
-        assert ev.integrate_from(3, 0.2) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_from(ev, 3, 0.2) == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_up_to_tail(self, circle_spec):
         from spectral_embed.spectrum import (_tail_terms,
