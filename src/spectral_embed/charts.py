@@ -364,13 +364,19 @@ def evaluate_on_grid(kernel_fn, grid_kernel, t_indices=None):
 # ---------------------------------------------------------------------------
 
 def convergence_study(node_counts, *, halfwidth=6.0, t_max=0.25, steps=1024,
-                      compare_radius=4.0):
-    """Constant-coefficient grid refinement against the Euclidean kernel."""
+                      compare_radius=4.0, finest=None):
+    """Constant-coefficient grid refinement against the Euclidean kernel.
+
+    `finest`, when given, is the solve of the last node count with these
+    settings; it is read instead of solved again.  Any `store_every` will
+    do, since the final step, the one compared, is always stored.
+    """
     spec = identity_chart(1)
     errors = []
-    for nodes in node_counts:
-        gk = solve_fd_kernel(spec, halfwidth, nodes, 0.0, t_max, steps=steps,
-                             store_every=steps)
+    for i, nodes in enumerate(node_counts):
+        gk = (finest if finest is not None and i == len(node_counts) - 1
+              else solve_fd_kernel(spec, halfwidth, nodes, 0.0, t_max,
+                                   steps=steps, store_every=steps))
         ti = len(gk.times) - 1
         pts = gk.points()
         exact = euclidean_kernel(pts, gk.times[ti], gk.source)

@@ -276,19 +276,24 @@ def build_bounds(cfg, manifold):
         r_h=cfg.value("bounds.r_h"))
 
 
-def _check_tail_window(bounds):
-    """The truncation tail sums every index up to the growth threshold."""
+def _check_growth_threshold(bounds, window=math.inf):
+    """The growth threshold must be a finite double, and at most `window`
+    where a truncation tail sums every index up to it."""
     try:
         threshold = bounds.growth_threshold()
-        where = (f"at {threshold!r}, past the {MAX_TAIL_WINDOW} indices the "
-                 f"truncation tail sums")
     except ArithmeticError:  # a^(n/2) or r_h^n past the doubles
-        threshold, where = math.nan, "outside the double range"
-    if not threshold <= MAX_TAIL_WINDOW:
-        raise ConfigError(
-            f"bounds.c = {bounds.C!r}, bounds.volume = {bounds.volume!r}, "
-            f"bounds.a = {bounds.a!r} and bounds.r_h = {bounds.r_h!r} put "
-            f"the growth threshold C V e^(n/2) / (a^(n/2) r_h^n) {where}")
+        threshold = math.inf
+    if threshold == math.inf:  # also when C V overflows
+        where = "outside the double range"
+    elif threshold > window:
+        where = (f"at {threshold!r}, past the {window} indices the "
+                 f"truncation tail sums")
+    else:
+        return
+    raise ConfigError(
+        f"bounds.c = {bounds.C!r}, bounds.volume = {bounds.volume!r}, "
+        f"bounds.a = {bounds.a!r} and bounds.r_h = {bounds.r_h!r} put the "
+        f"growth threshold C V e^(n/2) / (a^(n/2) r_h^n) {where}")
 
 
 def _write_summary(outdir, name, cfg, entries):
@@ -360,11 +365,13 @@ def cmd_charts(cfg, outdir, seed, scan):
         raise ConfigError(f"charts.q_list must list at least 2 distinct "
                           f"values Q - 1 with 1 < Q, got {qs}")
 
-    errors, ratios = charts_mod.convergence_study(nodes, t_max=t_max,
-                                                  steps=steps)
+    # the finest convergence grid, stored every steps // 8 steps, is also
+    # the exported kernel: it is solved once
     reference = charts_mod.solve_fd_kernel(
         charts_mod.identity_chart(1), 6.0, nodes[-1], 0.0, t_max,
         steps=steps, store_every=max(1, steps // 8))
+    errors, ratios = charts_mod.convergence_study(
+        nodes, t_max=t_max, steps=steps, finest=reference)
     charts_mod.export_grid_kernel(reference,
                                   os.path.join(outdir, "kernel.csv"))
     sups, grads, slope = charts_mod.ellipticity_sweep(
@@ -481,7 +488,7 @@ def _pairs_at_distances(man, distances):
 def verify_varadhan(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
-    _check_tail_window(bounds)
+    _check_growth_threshold(bounds, MAX_TAIL_WINDOW)
     spec = build_spectrum(cfg, man, 700)
     ev = HeatEvaluator(spec, spec.count - 1)
     distances = cfg.value("verify.distances", [0.5, 1.0, math.pi])
@@ -515,10 +522,24 @@ def verify_injectivity(cfg, outdir, seed):
     return ok
 
 
+def brute_truncation_index(values, weights, eps):
+    """The least n < count - 1 at which the heat kernel on the points,
+    truncated after mode n, is within `eps`, else count - 1.
+
+    `values` holds phi_k(P_i), `weights` e^(-lambda_k t).  The error
+    sum_{k>n} w_k phi_k phi_k^T is positive semidefinite, so its largest
+    entry is on the diagonal (|A_ij| <= sqrt(A_ii A_jj)): one suffix sum
+    of w_k phi_k(P_i)^2, with no cancellation, gives it for every n.
+    """
+    tails = np.cumsum(values[:, :0:-1] ** 2 * weights[:0:-1], axis=1)
+    below = np.flatnonzero(tails.max(axis=0)[::-1] < eps)
+    return int(below[0]) if below.size else len(weights) - 1
+
+
 def verify_truncation(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
-    _check_tail_window(bounds)
+    _check_growth_threshold(bounds, MAX_TAIL_WINDOW)
     spec = build_spectrum(cfg, man, 200)
     rng = np.random.default_rng(seed)
     samples = cfg.value("verify.samples")
@@ -534,14 +555,8 @@ def verify_truncation(cfg, outdir, seed):
         except TruncationError:
             ok = False
             continue
-        w = np.exp(-spec.eigenvalues * t)
-        full = (basis_vals * w) @ basis_vals.T
-        brute = spec.count - 1
-        for n in range(spec.count - 1):
-            part = (basis_vals[:, :n + 1] * w[:n + 1]) @ basis_vals[:, :n + 1].T
-            if np.abs(part - full).max() < eps:
-                brute = n
-                break
+        brute = brute_truncation_index(
+            basis_vals, np.exp(-spec.eigenvalues * t), eps)
         rows.append((t, eps, n0, brute))
         if n0 < brute:
             ok = False
@@ -603,6 +618,7 @@ def verify_decay(cfg, outdir, seed):
 def verify_growth(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
+    _check_growth_threshold(bounds)
     spec = build_spectrum(cfg, man, 64)
     rep = eigen_growth_check(spec, bounds)
     rows = [(int(k), lam, b, "yes" if a else "no",
@@ -675,6 +691,10 @@ def main(argv=None):
         ok = run(cfg, outdir, seed)  # each writer makes its directory
     except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except reporting.WriteError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: the config needs more memory than is available: "

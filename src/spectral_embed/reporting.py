@@ -30,22 +30,31 @@ def format_report(entries):
     return "\n".join(lines) + "\n"
 
 
+class WriteError(OSError):
+    """An output file could not be written; `filename` is its path."""
+
+
 def atomic_write(path, data):
     """Write `data` (text, or bytes as given) via a temp file in the same
-    directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    directory, then rename.  An OSError on the way is raised as a
+    WriteError naming `path`."""
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise WriteError(exc.errno, exc.strerror or str(exc),
+                             path) from exc
         raise
 
 

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_embed import charts as charts_mod
+from spectral_embed import charts as charts_mod, reporting
 from spectral_embed.cli import (KEYS, MAX_FLOATS, VERIFY_TARGETS, ConfigError,
-                                RunConfig, main)
-from spectral_embed.manifold import Circle, make_sphere
-from spectral_embed.spectrum import (EigensolverError, compute_spectrum,
-                                     export_spectrum)
+                                RunConfig, brute_truncation_index,
+                                build_bounds, build_manifold, main)
+from spectral_embed.manifold import Circle, FlatTorus, Sphere, make_sphere
+from spectral_embed.spectrum import (EigensolverError, TruncationError,
+                                     compute_spectrum, export_spectrum,
+                                     truncation_index)
 
 
 CIRCLE_CFG = """
@@ -127,6 +129,16 @@ class TestExitCodes:
                         "manifold.kind = mesh\nmanifold.path = in.off\n")
         assert main(["spectrum", "--config", cfg]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_names_the_path(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        cfg = write_cfg(tmp_path, "constants.n = 2\n")
+        assert main(["constants", "--config", cfg,
+                     "--out", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker / 'out'}/")
+        assert err.endswith(": Not a directory\n")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["spectrum", "--config",
@@ -611,7 +623,7 @@ class TestSubcommands:
         else:
             assert got in code and "bounds." not in err
 
-    @pytest.mark.parametrize("target", ["truncation", "varadhan"])
+    @pytest.mark.parametrize("target", ["truncation", "varadhan", "growth"])
     def test_growth_threshold_past_the_doubles(self, tmp_path, capsys,
                                                target):
         # on a 3-torus a^(3/2) overflows
@@ -706,6 +718,118 @@ class TestSubcommands:
         assert "config_embed_delta=0.3" in text
 
 
+def dense_tail_sups(values, weights, floor):
+    """The former `verify truncation` oracle: max |partial - full| kernel on
+    the points for n = 0, 1, ..., each partial kernel formed by a dense
+    product, up to the first below `floor`."""
+    full = (values * weights) @ values.T
+    sups = []
+    for n in range(len(weights) - 1):
+        part = (values[:, :n + 1] * weights[:n + 1]) @ values[:, :n + 1].T
+        sups.append(np.abs(part - full).max())
+        if sups[-1] < floor:
+            break
+    return np.array(sups)
+
+
+def dense_brute_index(sups, count, eps):
+    """The former brute_n: the first n within eps, else count - 1."""
+    below = np.flatnonzero(sups < eps)
+    return int(below[0]) if below.size else count - 1
+
+
+# a circle of length 2 pi with growth constants a = 2 e pi^2, C = 1
+TRUNCATION_CFG = ("manifold.kind = circle\nmanifold.samples = 4096\n"
+                  "spectrum.count = 200\nbounds.iota = 3.141592653589793\n"
+                  "bounds.a = 53.656732595121234\nbounds.c = 1.0\n"
+                  "bounds.r_h = 1.0\n")
+
+
+class TestTruncationOracle:
+    @pytest.fixture(scope="class", params=["circle", "sphere", "torus",
+                                           "icosphere"])
+    def probe(self, request):
+        """phi_k(P_i) on the first 256 sample points, and the eigenvalues."""
+        man, count = {
+            "circle": (lambda: Circle(2 * np.pi), 200),
+            "sphere": (lambda: Sphere(1.0), 225),
+            "torus": (lambda: FlatTorus((2 * np.pi, np.pi)), 100),
+            "icosphere": (lambda: make_sphere(1.0, 2), 100)}[request.param]
+        man = man()
+        spec = compute_spectrum(man, count)
+        return spec.values(man.sample_points()[:256]), spec.eigenvalues
+
+    def test_random_draws_match_the_dense_loop(self, probe):
+        # 200 (t, eps) draws from the ranges verify truncation draws from,
+        # five eps per t
+        values, lam = probe
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            weights = np.exp(-lam * float(rng.uniform(0.3, 2.0)))
+            probes = 10.0 ** rng.uniform(-8, -3, size=5)
+            sups = dense_tail_sups(values, weights, probes.min())
+            for eps in probes:
+                assert brute_truncation_index(values, weights, eps) == \
+                    dense_brute_index(sups, len(lam), eps), eps
+
+    @pytest.mark.parametrize("t", [0.3, 1.1])
+    def test_draws_at_each_tail_match_the_dense_loop(self, probe, t):
+        # eps just above and below max_i sum_{k>n} w_k phi_k(P_i)^2, for
+        # every n whose tail is at least the least eps drawn.  The dense
+        # loop subtracts two kernels of size K = max K(P_i, P_i), so within
+        # about count u K of the tail its answer is its rounding: there eps
+        # steps that far instead of 1e-12 of the tail.
+        values, lam = probe
+        weights = np.exp(-lam * t)
+        diagonal = values ** 2 * weights
+        tails = diagonal[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:].max(axis=0)
+        rounding = len(lam) * np.finfo(float).eps * diagonal.sum(axis=1).max()
+        tails = tails[tails >= 1e-8]
+        assert len(tails) >= 3
+        steps = np.maximum(1e-12 * tails, rounding)
+        probes = np.concatenate([tails - steps, tails + steps])
+        sups = dense_tail_sups(values, weights, probes.min())
+        for eps in probes:
+            assert brute_truncation_index(values, weights, eps) == \
+                dense_brute_index(sups, len(lam), eps), eps
+
+    def test_a_tail_equal_to_eps_is_not_within_it(self):
+        # dyadic values: both oracles form the tails 0.3125 and 0.0625 exactly
+        values, weights = np.array([[1.0, 0.5, 0.25]]), np.ones(3)
+        for eps, brute in ((0.3125, 1), (0.0625, 2), (0.0625 * 1.5, 1)):
+            sups = dense_tail_sups(values, weights, eps)
+            assert dense_brute_index(sups, 3, eps) == brute
+            assert brute_truncation_index(values, weights, eps) == brute
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csv_matches_the_dense_loop(self, tmp_path, seed):
+        cfg = write_cfg(tmp_path, TRUNCATION_CFG)
+        out = tmp_path / "out"
+        assert main(["verify", "truncation", "--config", cfg,
+                     "--out", str(out), "--seed", str(seed)]) == 0
+        run = RunConfig.parse(TRUNCATION_CFG)
+        man = build_manifold(run)
+        bounds = build_bounds(run, man)
+        spec = compute_spectrum(man, 200)
+        values = spec.values(man.sample_points()[:256])
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(20):
+            t = float(rng.uniform(0.3, 2.0))
+            eps = float(10.0 ** rng.uniform(-8, -3))
+            try:
+                n0 = truncation_index(spec, t, eps, bounds)
+            except TruncationError:
+                continue
+            sups = dense_tail_sups(values, np.exp(-spec.eigenvalues * t), eps)
+            rows.append((t, eps, n0, dense_brute_index(sups, 200, eps)))
+        assert len(rows) == 20
+        reporting.write_csv(str(tmp_path / "reference.csv"),
+                            ["t", "eps", "bound_n", "brute_n"], rows)
+        assert ((out / "truncation.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+
 class TestExportSurfaces:
     def test_grid_kernel_csv(self, tmp_path):
         from spectral_embed.charts import export_grid_kernel, \
@@ -752,6 +876,38 @@ class TestExportSurfaces:
         assert "ratios_ok=1" in report and "slope_ok=1" in report
         kernel = (tmp_path / "out" / "kernel.csv").read_text().splitlines()
         assert kernel[0] == "x,t,value"
+
+    def test_charts_solves_each_grid_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "charts.nodes = 21,41,81\n"
+                        "charts.steps = 64\ncharts.q_list = 0.02,0.04\n"
+                        "charts.sweep_nodes = 81\ncharts.sweep_steps = 32\n")
+        nodes, qs, t_max, steps = [21, 41, 81], [0.02, 0.04], 0.25, 64
+        solve = charts_mod.solve_fd_kernel
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(charts_mod, "solve_fd_kernel", counted)
+        out = tmp_path / "out"
+        assert main(["charts", "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert len(calls) == len(nodes) + len(qs)
+        monkeypatch.undo()
+
+        reference = solve(charts_mod.identity_chart(1), 6.0, nodes[-1], 0.0,
+                          t_max, steps=steps, store_every=max(1, steps // 8))
+        charts_mod.export_grid_kernel(reference, str(tmp_path / "kernel.csv"))
+        assert ((out / "kernel.csv").read_bytes()
+                == (tmp_path / "kernel.csv").read_bytes())
+        # every grid solved on its own, the finest storing its last step only
+        errors, ratios = charts_mod.convergence_study(nodes, t_max=t_max,
+                                                      steps=steps)
+        report = (out / "charts_report.txt").read_text().splitlines()
+        expected = [f"conv_error_{i}={e!r}" for i, e in enumerate(errors)]
+        expected += [f"conv_ratio_{i}={r!r}" for i, r in enumerate(ratios)]
+        assert [line for line in report
+                if line.startswith("conv_")] == expected
 
     def test_all_outputs_well_formed(self, tmp_path):
         # every summary line matches the key=value grammar and every CSV
