@@ -53,8 +53,13 @@ def holder_seminorm(values, points, alpha):
     for i0 in range(0, len(values), HOLDER_BLOCK):
         rows = slice(i0, i0 + HOLDER_BLOCK)
         diff = np.abs(values[rows, None] - values[None, i0:])
-        dist = np.linalg.norm(points[rows, None, :] - points[None, i0:, :],
-                              axis=-1)
+        if points.shape[1] == 1:
+            # norm() of one coordinate is sqrt(fl(d^2)), which is |d| in
+            # binary64 unless d^2 under- or overflows (then |d| is exact)
+            dist = np.abs(points[rows, None, 0] - points[None, i0:, 0])
+        else:
+            dist = np.linalg.norm(
+                points[rows, None, :] - points[None, i0:, :], axis=-1)
         mask = dist > 0
         if mask.any():
             block_max.append((diff[mask] / dist[mask] ** alpha).max())

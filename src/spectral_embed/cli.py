@@ -20,8 +20,9 @@ from .manifold import (Circle, FlatTorus, Sphere, TriMesh, load_mesh,
 from .spectrum import (GeometryBounds, compute_spectrum, eigen_growth_check,
                        truncation_index, export_spectrum, EigensolverError,
                        TruncationError)
-from .heat import (HeatEvaluator, decay_check, varadhan_check,
-                   varadhan_time_grid, export_decay, export_varadhan)
+from .heat import (HeatEvaluator, decay_check, unbounded_decay_time,
+                   varadhan_check, varadhan_time_grid, export_decay,
+                   export_varadhan)
 from .embed import (MAP_KINDS, build_net, make_map, evaluate_map,
                     image_distance, dilatation_report, injectivity_report,
                     scan_embedding, default_h_near, default_h_far,
@@ -218,9 +219,12 @@ def build_manifold(cfg):
     kind = cfg.value("manifold.kind")
     if kind == "mesh":
         path = cfg.value("manifold.path")
-        if not os.path.exists(path):
-            raise ConfigError(f"missing input file {path}")
-        return load_mesh(path)
+        try:
+            return load_mesh(path)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"missing input file {path}") from exc
+        except OSError as exc:  # a directory, or a path under a file
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if kind == "grid_torus":
         periods = cfg.value("manifold.periods")
         divisions = cfg.value("manifold.divisions")
@@ -601,12 +605,16 @@ def verify_counterexample(cfg, outdir, seed):
 def verify_decay(cfg, outdir, seed):
     man = build_manifold(cfg)
     bounds = build_bounds(cfg, man)
-    spec = build_spectrum(cfg, man, 200)
-    ev = HeatEvaluator(spec, spec.count - 1)
     pairs = _pairs_at_distances(
         man, cfg.value("verify.distances", [0.5, math.pi]))
-    rep = decay_check(ev, bounds, pairs, cfg.value("heat.t_grid"),
-                      grad_const=cfg.value("bounds.d", None))
+    ts, grad_const = cfg.value("heat.t_grid"), cfg.value("bounds.d", None)
+    t = unbounded_decay_time(man, bounds, pairs, ts, grad_const)
+    if t is not None:
+        raise ConfigError(f"heat.t_grid = {t!r} puts the decay bounds "
+                          f"outside the double range")
+    spec = build_spectrum(cfg, man, 200)
+    ev = HeatEvaluator(spec, spec.count - 1)
+    rep = decay_check(ev, bounds, pairs, ts, grad_const=grad_const)
     export_decay(rep, os.path.join(outdir, "decay.csv"),
                  os.path.join(outdir, "decay_gradient.csv"))
     ok = rep.all_pass()

@@ -80,24 +80,36 @@ class HeatEvaluator:
         below that floor are indistinguishable from zero.  The diagonal
         sums have no cancellation, so they are reliable scales.
         """
-        P, _ = self._points(p)
-        Q, _ = self._points(q)
-        vp = self.truncated_values(P)
-        vq = self.truncated_values(Q)
-        gp = self.spectrum.gradients(P)[:, : self.n_trunc + 1]
+        return self.pair_at(self.pair_terms(p, q), t)[2]
+
+    def pair_terms(self, p, q):
+        """phi(p) and phi(q), (1, N + 1), and grad phi(p), (1, N + 1, dim),
+        at two single points: every t-independent factor of `kernel`,
+        `gradient` and `roundoff_floor` there."""
+        P, Q = self._points(p)[0], self._points(q)[0]
+        return (self.truncated_values(P), self.truncated_values(Q),
+                self.spectrum.gradients(P)[:, : self.n_trunc + 1])
+
+    def pair_at(self, terms, t):
+        """K_N(p, t; q), its gradient in p and `roundoff_floor(p, t, q)`
+        from `pair_terms(p, q)`, bit for bit as the three methods give them
+        at single points."""
+        vp, vq, gp = terms
         w = self.weights(t)
+        value = float(np.sum(w * vp * vq, axis=1)[0])
+        grad = np.einsum("k,pkd,pk->pd", w, gp, vq)[0]
         kpp = float(np.sum(w * vp * vp, axis=1)[0])
         kqq = float(np.sum(w * vq * vq, axis=1)[0])
         gpp = float(np.einsum("k,pkd,pkd->p", w, gp, gp)[0])
         eps = np.finfo(float).eps
-        return (eps * math.sqrt(max(kpp * kqq, 0.0)),
-                eps * math.sqrt(max(gpp * kqq, 0.0)))
+        return value, grad, (eps * math.sqrt(max(kpp * kqq, 0.0)),
+                             eps * math.sqrt(max(gpp * kqq, 0.0)))
 
 
-def _pair_distance(ev, p, q):
-    """Geodesic distance between two single points."""
-    return float(ev.manifold.distance_between(ev._points(p)[0],
-                                              ev._points(q)[0])[0, 0])
+def _pair_distance(manifold, p, q):
+    """Geodesic distance between two single points (vertices on a mesh)."""
+    return float(manifold.distance_between(np.atleast_1d(p),
+                                           np.atleast_1d(q))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,26 @@ def decay_gradient_bound(d, t, bounds, grad_const):
     return grad_const / t ** ((n + 1) / 2.0) * np.exp(-d ** 2 / (8 * t))
 
 
+def unbounded_decay_time(manifold, bounds, pairs, ts, grad_const=None):
+    """The first t in `ts` at which the kernel or gradient decay bound of a
+    pair leaves the doubles (nan, inf or an overflow), or None.  It reads
+    only the manifold, so a run can check its times before evaluating."""
+    if grad_const is None:
+        grad_const = 2.0 ** bounds.dim
+    distances = [_pair_distance(manifold, p, q) for p, q in pairs]
+    for t in ts:
+        for d in distances:
+            try:
+                with np.errstate(all="ignore"):
+                    both = (decay_value_bound(d, t, bounds),
+                            decay_gradient_bound(d, t, bounds, grad_const))
+            except ArithmeticError:  # a Python float power past the doubles
+                return t
+            if not all(map(math.isfinite, both)):
+                return t
+    return None
+
+
 def decay_check(ev, bounds, pairs, ts, grad_const=None):
     """Kernel and gradient decay-bound table over pairs x times.
 
@@ -170,13 +202,13 @@ def decay_check(ev, bounds, pairs, ts, grad_const=None):
     r_h = bounds.require_harmonic_radius()
     rows = []
     for (p, q) in pairs:
-        d = _pair_distance(ev, p, q)
+        d = _pair_distance(ev.manifold, p, q)
+        terms = ev.pair_terms(p, q)  # the basis, once per pair
         for t in ts:
-            value = ev.kernel(p, t, q)
+            value, grad, (vfloor, gfloor) = ev.pair_at(terms, t)
             bound = decay_value_bound(d, t, bounds)
-            gval = float(np.linalg.norm(ev.gradient(p, t, q)))
+            gval = float(np.linalg.norm(grad))
             gbound = decay_gradient_bound(d, t, bounds, grad_const)
-            vfloor, gfloor = ev.roundoff_floor(p, t, q)
             value_pass = bool(abs(value) <= bound + 64.0 * vfloor)
             if t > 2 * r_h ** 2:
                 gflag = "outside_range"
@@ -237,7 +269,7 @@ def varadhan_check(ev, pairs, t_grids=None, bounds=None, trunc_eps=1e-12):
     """
     rows = []
     for i, (p, q) in enumerate(pairs):
-        d = _pair_distance(ev, p, q)
+        d = _pair_distance(ev.manifold, p, q)
         ts = t_grids[i] if t_grids is not None else varadhan_time_grid(d)
         if bounds is not None:
             needed = truncation_index(ev.spectrum, min(ts), trunc_eps, bounds)

@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
-import scipy.special
 
 
 class MeshError(ValueError):
@@ -401,8 +400,11 @@ def load_mesh(path):
     connectivity and degenerate triangles raise :class:`MeshError` with the
     offending location.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not a text OFF file ({exc.reason})") from exc
 
     def content(idx):
         return lines[idx].split("#", 1)[0].strip()
@@ -804,18 +806,20 @@ class _SphereBasis:
     """Real spherical harmonics, unit L2 norm on the radius-R sphere.
 
     Every evaluation factors the complex harmonics as
-    Y_l^m(theta, phi) = P_l^m(theta) e^{i m phi}: per block of points, one
-    real `sph_legendre_p_all` call up to the largest degree and one
-    e^{i m phi} table for m = 0..L, whose product gives Y_l^m for m >= 0.
-    Each label (l, m) picks Y_l^|m| from it.  The values and derivatives
-    are bit for bit those of `scipy.special.sph_harm_y`, with one caveat:
-    from degree 23 on (seen up to 29), a zero derivative at an exact pole
-    can come out as -0.0 where scipy has +0.0, or the reverse.  Norms and
-    sup norms do not see the sign.
+    Y_l^m(theta, phi) = P_l^m(theta) e^{i m phi}, with P_l^m the fully
+    normalized associated Legendre functions (Condon-Shortley phase), for
+    m = 0..L only: per block of points, one table of P_l^m and dP_l^m/dtheta
+    from the three-term recurrence in l (Holmes & Featherstone 2002,
+    J. Geodesy 76:279; DLMF 14.10), one step per degree for all orders at
+    once, and real cos(m phi), sin(m phi) tables.  Each label (l, m) picks
+    its entries.  Against 40-digit mpmath, values and gradients are within
+    28 eps of each label's sup norm at degree 19, 66 at degree 60 and 83
+    at degree 80, the poles and points near them included (measured).  Near
+    the poles the sectoral P_m^m underflow to 0 at large m, where the true
+    values are below the smallest double times the sup norm.
     """
 
-    # points per sph_legendre_p_all call, which returns (L+1, 2L+1, block)
-    # arrays per derivative order
+    # points per evaluation block; the Legendre tables are (L+1, L+2, block)
     BLOCK = 256
 
     def __init__(self, sphere, lams, labels):
@@ -823,10 +827,37 @@ class _SphereBasis:
         self.eigenvalues = lams
         self.labels = labels
         ell, m = np.array(labels).reshape(-1, 2).T
-        self._ell, self._order, self._imag = ell, np.abs(m), m < 0
-        # m > 0: sqrt(2) (-1)^m Re Y_l^m; m < 0: the same with Im Y_l^|m|
+        self._ell, self._order = ell, np.abs(m)
+        L = self._degree = int(ell.max())
+        # m > 0: sqrt(2) (-1)^m Re Y_l^m = sqrt(2) (-1)^m P_l^m cos(m phi);
+        # m < 0: the same with Im Y_l^|m|, so sin(|m| phi)
         self._sign = np.where(m == 0, 1.0,
                               np.sqrt(2.0) * (-1.0) ** self._order)
+        # rows of the stacked [cos; sin] table: the label's own, and the one
+        # its phi derivative is a multiple of, -m sin(m phi) or m cos(m phi)
+        self._trig = self._order + (L + 1) * (m < 0)
+        self._dtrig = self._order + (L + 1) * (m >= 0)
+        self._dsign = self._sign * np.where(m < 0, 1.0, -1.0) * self._order
+        # per degree l, the columns over m < l of a_lm and a_lm b_lm in
+        # P_l^m = a_lm cos(theta) P_{l-1}^m - a_lm b_lm P_{l-2}^m
+        self._steps = []
+        for deg in range(1, L + 1):
+            k = np.arange(deg, dtype=float)[:, None]
+            a = np.sqrt((4 * deg * deg - 1) / ((deg - k) * (deg + k)))
+            b = np.sqrt(np.maximum((deg - 1) ** 2 - k * k, 0.0)
+                        / max(4 * (deg - 1) ** 2 - 1, 1))
+            self._steps.append((a, a * b))
+        # P_m^m = -sqrt((2m+1)/(2m)) sin(theta) P_{m-1}^{m-1}
+        k = np.arange(1, L + 1, dtype=float)[:, None]
+        self._sectoral = -np.sqrt((2 * k + 1) / (2 * k))
+        # dP_l^m/dtheta = up_lm P_l^{m+1} - down_lm P_l^{m-1}: for m = 0,
+        # sqrt(l(l+1)) P_l^1, otherwise half of sqrt((l-m)(l+m+1)) P_l^{m+1}
+        # and of sqrt((l+m)(l-m+1)) P_l^{m-1}; both are 0 past m = l
+        deg, k = (x.astype(float) for x in np.ogrid[:L + 1, :L + 1])
+        half = np.where(k == 0, 1.0, 0.5)
+        up = half * np.sqrt(np.maximum((deg - k) * (deg + k + 1), 0.0))
+        down = half * np.sqrt(np.maximum((deg + k) * (deg - k + 1), 0.0))
+        self._up, self._down = up[:, :, None], down[:, 1:, None]
 
     def _angles(self, P):
         X = np.atleast_2d(P) / self.manifold.radius
@@ -837,23 +868,51 @@ class _SphereBasis:
     def _blocks(self, n):
         return (slice(s, s + self.BLOCK) for s in range(0, n, self.BLOCK))
 
+    def _legendre(self, theta, diff):
+        """P_l^m(theta), (L+1, L+2, points) with a zero column m = L+1, and
+        with `diff` also dP_l^m/dtheta, (L+1, L+1, points).  One step per
+        degree, vectorized over the orders and the points."""
+        L = self._degree
+        # cos(theta) = pole + r, pole = +-1 the nearer pole and r from the
+        # half angle, exact where cos(theta) rounds away the distance to the
+        # pole; each step adds its small r term last
+        north = theta <= np.pi / 2
+        pole = np.where(north, 1.0, -1.0)
+        r = np.where(north, -2.0 * np.sin(theta / 2) ** 2,
+                     2.0 * np.cos(theta / 2) ** 2)
+        P = np.zeros((L + 1, L + 2, len(theta)))
+        sectoral = np.empty((L + 1, len(theta)))
+        sectoral[0] = 1.0 / np.sqrt(4.0 * np.pi)
+        np.multiply(self._sectoral, np.sin(theta), out=sectoral[1:])
+        np.cumprod(sectoral, axis=0, out=sectoral)
+        P[np.arange(L + 1), np.arange(L + 1)] = sectoral
+        for deg, (a, ab) in enumerate(self._steps, start=1):
+            row = P[deg, :deg]
+            np.multiply(a, P[deg - 1, :deg], out=row)
+            small = r * row
+            row *= pole
+            if deg > 1:
+                row -= ab * P[deg - 2, :deg]
+            row += small
+        if not diff:
+            return P, None
+        dP = self._up * P[:, 1:]
+        dP[:, 1:] -= self._down * P[:, :L]
+        return P, dP
+
     def _real_parts(self, theta, phi, diff=False):
         """Real harmonics per label, (K, points); with `diff`, also their
         theta and phi derivatives."""
-        L = int(self._ell.max())
-        m = np.arange(L + 1)[:, None]
-        # orders 0..L of every degree; the negative orders are never read
-        plm = scipy.special.sph_legendre_p_all(L, L, theta, diff_n=int(diff))
-        plm = plm[:, :, :L + 1]
-        e = np.exp(1j * m * phi)
-        fields = [plm[0] * e]
+        P, dP = self._legendre(theta, diff)
+        mphi = np.arange(self._degree + 1)[:, None] * phi
+        trig = np.concatenate([np.cos(mphi), np.sin(mphi)])
+        plm = P[self._ell, self._order]
+        own = trig[self._trig]
+        fields = [self._sign[:, None] * plm * own]
         if diff:
-            # d/dphi written as plm (i m e) and `+ 0.0` on both derivatives
-            # reproduce scipy's rounding and its +0.0 at the poles
-            fields += [plm[1] * e + 0.0, plm[0] * (1j * m * e) + 0.0]
-        imag, sign = self._imag[:, None], self._sign[:, None]
-        picked = (f[self._ell, self._order] for f in fields)
-        return [sign * np.where(imag, f.imag, f.real) for f in picked]
+            fields += [self._sign[:, None] * dP[self._ell, self._order] * own,
+                       self._dsign[:, None] * plm * trig[self._dtrig]]
+        return fields
 
     def values(self, P):
         theta, phi = self._angles(P)

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-import scipy.special
 
 from .manifold import AnalyticManifold, OperatorPair, TriMesh, assemble_laplacian
 from . import reporting
@@ -386,6 +385,26 @@ def _clamped_envelope(mu, t, power):
     return np.exp(-x * t) * x ** power
 
 
+def _upper_gamma(s, y):
+    """Gamma(s, y) for s = n or n + 1/2, n >= 0 an integer, s > 0, y >= 0.
+
+    From Gamma(1, y) = e^(-y) or Gamma(1/2, y) = sqrt(pi) erfc(sqrt(y)),
+    Gamma(a + 1, y) = a Gamma(a, y) + y^a e^(-y) steps up to s (DLMF 8.4.5,
+    8.4.6, 8.8.2).  y^a e^(-y) is formed as one exponential, so neither
+    factor leaves the doubles alone; its relative error grows like y eps,
+    the conditioning of e^(-y).  y = 0 gives Gamma(s).
+    """
+    a = 0.5 if s % 1.0 else 1.0
+    value = math.exp(-y) if a == 1.0 else \
+        math.sqrt(math.pi) * math.erfc(math.sqrt(y))
+    # y^a e^(-y) is 0 at y = 0 and at y = inf
+    log_y = math.log(y) if 0 < y < math.inf else -math.inf
+    while a < s:
+        value = a * value + math.exp(a * log_y - y)
+        a += 1.0
+    return value
+
+
 def _tail_terms(spectrum, t, bounds, empirical_c):
     """Per-index tail summands and the integral remainder past the window.
 
@@ -416,7 +435,7 @@ def _tail_terms(spectrum, t, bounds, empirical_c):
     for power in ((n + 1) / 2.0, n / 2.0):
         s = power + n / 2.0
         remainder += (n / 2.0) * c_growth ** (-n / 2.0) * t ** (-n / 2.0 - power) \
-            * math.gamma(s) * scipy.special.gammaincc(s, y0)
+            * _upper_gamma(s, y0)
     remainder *= empirical_c ** 2
     return terms, float(remainder)
 

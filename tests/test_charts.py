@@ -160,6 +160,12 @@ class TestHolderSeminorm:
         assert holder_seminorm(vals, xs, 0.5) == \
             dense_holder_seminorm(vals, xs[:, None], 0.5)
 
+    def test_one_dimensional_distances_are_exact(self):
+        # |x - x'| where norm() would square a spacing of 1e-200 to 0 and
+        # drop the pair
+        xs = np.array([0.0, 1e-200, 1.0])
+        assert holder_seminorm([0.0, 1.0, 1.0], xs, 1.0) == 1e200
+
     def test_no_pair_at_positive_distance_raises(self):
         with pytest.raises(ValueError):
             holder_seminorm([1.0, 2.0, 3.0], np.zeros((3, 2)), 0.5)

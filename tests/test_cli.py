@@ -148,6 +148,34 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "broken line without equals\n")
         assert main(["spectrum", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "under a file"])
+    def test_unreadable_mesh_input_names_the_path(self, tmp_path, capsys,
+                                                  monkeypatch, kind):
+        # a run without --out writes ./out; it exits 2 before any output
+        monkeypatch.chdir(tmp_path)
+        if kind == "directory":
+            (tmp_path / "in.off").mkdir()
+            path, reason = "in.off", "Is a directory"
+        else:
+            (tmp_path / "F").write_text("")
+            path, reason = "F/in.off", "Not a directory"
+        cfg = write_cfg(tmp_path,
+                        f"manifold.kind = mesh\nmanifold.path = {path}\n")
+        assert main(["spectrum", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read {path}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_binary_mesh_input_is_a_mesh_error(self, tmp_path, capsys):
+        path = tmp_path / "in.off"
+        path.write_bytes(b"OFF\n\xff\xfe\n")
+        cfg = write_cfg(tmp_path,
+                        f"manifold.kind = mesh\nmanifold.path = {path}\n")
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: not a text OFF file")
+
     def test_missing_mesh_input(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a run without --out writes ./out
         cfg = write_cfg(tmp_path,
@@ -403,6 +431,10 @@ class TestExitContractTable:
          "heat.t_grid"),
         (["verify", "decay"], SPHERE_BOUNDS + "heat.t_grid = -1\n",
          "heat.t_grid"),
+        (["verify", "decay"], "manifold.kind = circle\nbounds.r_h = 1.0\n"
+         "heat.t_grid = 0.1,5e-324\n", "heat.t_grid = 5e-324"),
+        (["verify", "decay"], SPHERE_BOUNDS + "heat.t_grid = 0.1,1e300\n",
+         "heat.t_grid = 1e+300"),
         (["constants"], "constants.steps = 100000000\n", "constants.steps"),
         (["spectrum"], "manifold.kind = icosphere\n"
          "manifold.subdivisions = 12\n", "manifold.subdivisions"),
@@ -1199,6 +1231,34 @@ def test_cli_import_leaves_quadrature_unloaded(tmp_path):
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+def test_runs_leave_scipy_special_unloaded(tmp_path):
+    # the sphere harmonics come from a Legendre recurrence and the
+    # truncation tail's Gamma(s, y) from a closed form, so scipy.special
+    # loads neither with the CLI nor in the runs that used it
+    report = "print('scipy.special' in sys.modules)\n"
+    sphere = "manifold.kind = sphere\nspectrum.count = 40\n"
+    runs = [
+        (["embed", "--scan"], sphere + "embed.map = H\nembed.delta = 0.5\n"
+         "embed.levels = 2\n"),
+        (["verify", "decay"], "manifold.kind = sphere\nspectrum.count = 225\n"
+         "bounds.iota = 3.141592653589793\nbounds.r_h = 1.0\n"
+         "heat.t_grid = 0.1,0.5\n"),
+        (["verify", "truncation"], CIRCLE_CFG + "spectrum.count = 200\n"
+         "verify.samples = 2\n"),
+    ]
+    scripts = ["import sys, spectral_embed.cli\n" + report]
+    for i, (argv, config) in enumerate(runs):
+        cfg = write_cfg(tmp_path, config, name=f"c{i}.cfg")
+        argv = argv + ["--config", cfg, "--out", str(tmp_path / f"out{i}")]
+        scripts.append("import sys\nfrom spectral_embed.cli import main\n"
+                       f"assert main({argv!r}) == 0\n" + report)
+    for script in scripts:
+        proc = subprocess.run([sys.executable, "-c", script], env=cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 def test_thread_cap_applies_before_numpy_loads(tmp_path):

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spectral_embed.manifold import Circle, make_sphere
+from spectral_embed.manifold import Circle, Sphere, make_sphere
 from spectral_embed.spectrum import GeometryBounds, compute_spectrum
 from spectral_embed.heat import (HeatEvaluator, decay_check, decay_value_bound,
-                                 varadhan_check, varadhan_time_grid)
+                                 unbounded_decay_time, varadhan_check,
+                                 varadhan_time_grid)
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -161,9 +163,11 @@ class TestDecay:
         assert decay_value_bound(0.0, t, bounds) == pytest.approx(expected)
 
     def test_inflated_kernel_fails(self, circle_spec):
+        # decay_check reads K_N through pair_at
         class Inflated(HeatEvaluator):
-            def kernel(self, p, t, q):
-                return super().kernel(p, t, q) * 1e6
+            def pair_at(self, terms, t):
+                value, grad, floors = super().pair_at(terms, t)
+                return value * 1e6, grad, floors
 
         ev = Inflated(circle_spec, circle_spec.count - 1)
         bounds = GeometryBounds(dim=1, iota=np.pi, volume=2 * np.pi, r_h=1.0)
@@ -171,6 +175,48 @@ class TestDecay:
                           [0.1])
         assert not rep.all_pass()
         assert not rep.rows[0].value_pass
+
+    @pytest.mark.parametrize("ts", [[0.05, 1.0], [0.2]])
+    def test_pair_at_matches_the_single_point_methods(self, circle_ev, ts):
+        sphere = Sphere(1.0)
+        sphere_ev = HeatEvaluator(compute_spectrum(sphere, 40), 39)
+        P = sphere.sample_points()
+        for ev, p, q in ((circle_ev, np.array([0.3]), np.array([2.0])),
+                         (sphere_ev, P[0], P[17])):
+            terms = ev.pair_terms(p, q)
+            for t in ts:
+                value, grad, floors = ev.pair_at(terms, t)
+                assert value == ev.kernel(p, t, q)
+                assert grad.tobytes() == ev.gradient(p, t, q).tobytes()
+                assert floors == ev.roundoff_floor(p, t, q)
+
+    def test_rows_match_the_single_point_methods(self):
+        # one basis evaluation per pair gives the kernel and gradient
+        # values the per-time calls give, bit for bit
+        sphere = Sphere(1.0)
+        ev = HeatEvaluator(compute_spectrum(sphere, 40), 39)
+        bounds = GeometryBounds(dim=2, iota=np.pi, volume=4 * np.pi, r_h=1.0)
+        P = sphere.sample_points()
+        rep = decay_check(ev, bounds, [(P[0], P[17]), (P[5], P[3])],
+                          [0.1, 0.5])
+        for row in rep.rows:
+            assert row.value == ev.kernel(row.p, row.t, row.q)
+            assert row.grad_value == float(np.linalg.norm(
+                ev.gradient(row.p, row.t, row.q)))
+
+    @pytest.mark.parametrize("t, index", [(5e-324, 1), (1e300, 1),
+                                          (1e-300, 1), (0.5, None)])
+    def test_unbounded_decay_time(self, t, index):
+        # a time at which a bound is nan, inf or overflows a Python float
+        # power is named before any evaluation, with no numpy warning
+        bounds = GeometryBounds(dim=2, iota=np.pi, volume=4 * np.pi, r_h=1.0)
+        sphere = Sphere(1.0)
+        P = sphere.sample_points()
+        ts = [0.1, t, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unbounded_decay_time(sphere, bounds, [(P[0], P[9])], ts)
+        assert got == (None if index is None else ts[index])
 
     def test_outside_gradient_regime_marked(self, circle_ev):
         bounds = GeometryBounds(dim=1, iota=np.pi, volume=2 * np.pi, r_h=0.1)

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -724,35 +725,85 @@ class TestSphereHarmonics:
         assert np.abs(radial).max() < 1e-8
 
 
-def _sph_reference(basis, P, gradients):
-    """One scipy.special.sph_harm_y call per label, the per-label form the
-    all-degree evaluation must reproduce bit for bit."""
-    vals, grads = _sph_reference_fields(basis, P)
-    return grads if gradients else vals
-
-
-def _sph_reference_fields(basis, P):
-    """Values (points, K) and gradients (points, K, 3) of `_sph_reference`."""
-    import scipy.special
+def _real_fields(basis, P, harmonic, keep=None):
+    """Values (points, len(keep)) and gradients (points, len(keep), 3) of
+    the labels `keep` (all by default) from `harmonic(l, m, theta, phi)`,
+    m >= 0, which returns the complex Y_l^m and its theta and phi
+    derivatives at the points; each (l, |m|) is asked for once."""
+    keep = range(len(basis.labels)) if keep is None else keep
     R = basis.manifold.radius
     theta, phi = basis._angles(P)
     sin_t = np.maximum(np.sin(theta), 1e-12)
     theta_hat = np.column_stack([np.cos(theta) * np.cos(phi),
                                  np.cos(theta) * np.sin(phi), -np.sin(theta)])
     phi_hat = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
-    vals = np.empty((len(theta), len(basis.labels)))
-    grads = np.zeros((len(theta), len(basis.labels), 3))
-    for k, (ell, m) in enumerate(basis.labels):
-        y, dy = scipy.special.sph_harm_y(ell, abs(m), theta, phi, diff_n=1)
+    vals = np.empty((len(theta), len(keep)))
+    grads = np.zeros((len(theta), len(keep), 3))
+    known = {}
+    for j, k in enumerate(keep):
+        ell, m = basis.labels[k]
+        if (ell, abs(m)) not in known:
+            known[ell, abs(m)] = harmonic(ell, abs(m), theta, phi)
+        y, dth, dph = known[ell, abs(m)]
         pick = np.imag if m < 0 else np.real
         s = 1.0 if m == 0 else np.sqrt(2.0) * (-1.0) ** abs(m)
-        vals[:, k] = s * pick(y) / R
+        vals[:, j] = s * pick(y) / R
         if ell == 0:
             continue
-        dth, dph = s * pick(dy[..., 0]), s * pick(dy[..., 1])
-        grads[:, k, :] = (dth[:, None] * theta_hat
-                          + (dph / sin_t)[:, None] * phi_hat) / R ** 2
+        grads[:, j, :] = (s * pick(dth)[:, None] * theta_hat
+                          + (s * pick(dph) / sin_t)[:, None] * phi_hat) / R ** 2
     return vals, grads
+
+
+def _scipy_harmonic(ell, m, theta, phi):
+    """Y_l^m and its derivatives from one scipy.special.sph_harm_y call."""
+    import scipy.special
+    y, dy = scipy.special.sph_harm_y(ell, m, theta, phi, diff_n=1)
+    return y, dy[..., 0], dy[..., 1]
+
+
+def _mp_harmonic(ell, m, theta, phi):
+    """40-digit Y_l^m by mpmath.spherharm, dY/dtheta by mpmath.diff
+    (one-sided at the poles, where spherharm is even in theta) and
+    dY/dphi = i m Y."""
+    import mpmath
+    out = np.empty((3, len(theta)), dtype=complex)
+    with mpmath.workdps(40):
+        for i, (th, ph) in enumerate(zip(theta.tolist(), phi.tolist())):
+            def f(t):
+                return mpmath.spherharm(ell, m, t, ph)
+            side = 1 if th == 0.0 else -1 if th == np.pi else 0
+            y = f(th)
+            out[:, i] = [complex(y), complex(mpmath.diff(f, th, direction=side)),
+                         complex(1j * m * y)]
+    return out
+
+
+def _sphere_eps(degree, reference):
+    """The sphere basis error bound up to `degree` against a `reference`,
+    "mpmath" (40 digits) or "scipy" (sph_harm_y, whose own error counts),
+    in eps times each label's sup norm: of |Y| for values and of |grad Y|
+    for gradients.  Near cos(theta) = +-1 the recurrence has a double root,
+    so errors grow with the degree there.  Largest errors measured (values,
+    gradients; R = 1.0 and 1.3, poles, near-pole points and the seam
+    included): against mpmath 28 and 28 eps at degree 19, 64 and 66 at
+    60, 83 and 78 at 80; against scipy 32 and 44, 123 and 228, 232 and
+    1036, where scipy's own error reaches 955."""
+    return max(64.0, degree * degree / (32.0 if reference == "mpmath"
+                                        else 4.0))
+
+
+def _assert_within(got, ref, scale, bound):
+    """|got - ref| <= bound eps scale per label (the last axis of values,
+    the middle one of gradients, measured by the gradient length)."""
+    err = np.abs(got - ref) if got.ndim == 2 else np.linalg.norm(
+        got - ref, axis=2)
+    limit = bound * np.finfo(float).eps * scale
+    assert np.all(err <= limit), (err / np.where(scale > 0, scale, 1)).max()
+
+
+def _sup_scales(vals, grads):
+    return np.abs(vals).max(axis=0), np.linalg.norm(grads, axis=2).max(axis=0)
 
 
 def _former_sphere_gradients(basis, P):
@@ -776,32 +827,104 @@ def _former_sphere_gradients(basis, P):
 
 
 class TestSphereAllDegrees:
+    # more points than one evaluation block, both poles and the phi = +-pi
+    # seam; the mpmath reference takes the specials and six others
+    @staticmethod
+    def _points(s, n=600):
+        R = s.radius
+        special = [[0, 0, R], [0, 0, -R], [-R, 0, 0], [-R, -1e-300, 0]]
+        return np.vstack([special, s.sample_points(n)])
+
     # 1: the constant alone; 40: splits the l = 6 band; 225: l = 0..14;
     # 400: l = 0..19, the benchmark's sphere_sup_bounds basis
     @pytest.mark.parametrize("count", [1, 40, 225, 400])
     def test_values_and_gradients_match_per_label_calls(self, count):
         s = Sphere(1.3)
         basis = s.eigenbasis(count)
-        # more points than one evaluation block, plus both poles and the
-        # phi = +-pi seam
-        P = np.vstack([s.sample_points(600),
-                       [[0, 0, 1.3], [0, 0, -1.3], [-1.3, 0, 0],
-                        [-1.3, -1e-300, 0]]])
-        assert np.array_equal(basis.values(P), _sph_reference(basis, P, False))
-        got = basis.gradients(P)
-        ref = _sph_reference(basis, P, True)
-        assert got.tobytes() == ref.tobytes()
+        P = self._points(s)
+        vals, grads = basis.values(P), basis.gradients(P)
+        ref_vals, ref_grads = _real_fields(basis, P, _scipy_harmonic)
+        scale, gscale = _sup_scales(ref_vals, ref_grads)
+        bound = _sphere_eps(19, "scipy")
+        _assert_within(vals, ref_vals, scale, bound)
+        _assert_within(grads, ref_grads, gscale, bound)
+        few = np.r_[0:4, 4:600:100]
+        mp_vals, mp_grads = _real_fields(basis, P[few], _mp_harmonic)
+        bound = _sphere_eps(19, "mpmath")
+        _assert_within(vals[few], mp_vals, scale, bound)
+        _assert_within(grads[few], mp_grads, gscale, bound)
+
+    def test_degree_60(self):
+        # l = 0..60 against sph_harm_y, and degrees 59 and 60 against mpmath
+        s = Sphere(1.3)
+        basis = s.eigenbasis(61 ** 2)
+        P = self._points(s, 300)
+        vals, grads = basis.values(P), basis.gradients(P)
+        ref_vals, ref_grads = _real_fields(basis, P, _scipy_harmonic)
+        scale, gscale = _sup_scales(ref_vals, ref_grads)
+        bound = _sphere_eps(60, "scipy")
+        _assert_within(vals, ref_vals, scale, bound)
+        _assert_within(grads, ref_grads, gscale, bound)
+        few = np.r_[0:4, 4:300:50]
+        top = np.flatnonzero(basis._ell >= 59)
+        mp_vals, mp_grads = _real_fields(basis, P[few], _mp_harmonic, top)
+        bound = _sphere_eps(60, "mpmath")
+        _assert_within(vals[few][:, top], mp_vals, scale[top], bound)
+        _assert_within(grads[few][:, top], mp_grads, gscale[top], bound)
+
+    def test_sectoral_underflow_near_the_poles(self):
+        # sin(theta)^m leaves the doubles near a pole: at 1.5e-8 past
+        # m = 40, at 1e-5 past m = 62; the table holds 0 there, with no nan
+        # and no warning
+        s = Sphere(1.0)
+        basis = s.eigenbasis(81 ** 2)
+        theta = np.array([1.5e-8, 1e-5, 1e-3, np.pi - 1.5e-8, np.pi - 1e-5])
+        phi = np.array([0.3, -2.0, 3.1, 1.0, -0.5])
+        P = np.column_stack([np.sin(theta) * np.cos(phi),
+                             np.sin(theta) * np.sin(phi), np.cos(theta)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = basis._legendre(basis._angles(P)[0], False)[0]
+            vals, grads = basis.values(P), basis.gradients(P)
+        assert np.all(table[80, 80, [0, 1, 3, 4]] == 0.0)
+        assert np.isfinite(vals).all() and np.isfinite(grads).all()
+        ref_vals, ref_grads = _real_fields(basis, P, _scipy_harmonic)
+        # the labels of order 0 peak at the poles, past the sampled sup
+        scale, gscale = _sup_scales(ref_vals, ref_grads)
+        scale = np.maximum(scale, basis.sup_norms())
+        gscale = np.maximum(gscale, basis.grad_sup_norms())
+        _assert_within(vals, ref_vals, scale, _sphere_eps(80, "scipy"))
+        _assert_within(grads, ref_grads, gscale, _sphere_eps(80, "scipy"))
+        # degree 80, where rounding cos(theta) near a pole costs most
+        top = np.flatnonzero(basis._ell == 80)
+        mp_vals, mp_grads = _real_fields(basis, P, _mp_harmonic, top)
+        _assert_within(vals[:, top], mp_vals, scale[top],
+                       _sphere_eps(80, "mpmath"))
+        _assert_within(grads[:, top], mp_grads, gscale[top],
+                       _sphere_eps(80, "mpmath"))
 
     def test_sup_norms_match_per_label_calls(self):
+        # the sampled sup norms against sph_harm_y's over the same sample,
+        # and each against 40-digit mpmath at the point that attains it
         s = Sphere(1.0)
         basis = s.eigenbasis(400)
         P = s.sample_points()
         assert len(P) == 2000
-        vals, grads = _sph_reference_fields(basis, P)
-        sup = np.abs(vals).max(axis=0)
-        gsup = np.linalg.norm(grads, axis=2).max(axis=0)
-        assert basis.sup_norms().tobytes() == sup.tobytes()
-        assert basis.grad_sup_norms().tobytes() == gsup.tobytes()
+        sup, gsup = _sup_scales(*_real_fields(basis, P, _scipy_harmonic))
+        bound = _sphere_eps(19, "scipy") * np.finfo(float).eps
+        assert np.all(np.abs(basis.sup_norms() - sup) <= bound * sup)
+        assert np.all(np.abs(basis.grad_sup_norms() - gsup) <= bound * gsup)
+        bound = _sphere_eps(19, "mpmath") * np.finfo(float).eps
+        vals, grads = basis.values(P), basis.gradients(P)
+        at = np.abs(vals).argmax(axis=0)
+        gat = np.linalg.norm(grads, axis=2).argmax(axis=0)
+        for k in range(len(basis.labels)):
+            mp_val, mp_grad = _real_fields(
+                basis, P[[at[k], gat[k]]], _mp_harmonic, [k])
+            assert abs(basis.sup_norms()[k] - abs(mp_val[0, 0])) \
+                <= bound * sup[k]
+            assert abs(basis.grad_sup_norms()[k]
+                       - np.linalg.norm(mp_grad[1, 0])) <= bound * gsup[k]
 
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     @pytest.mark.parametrize("count", [1, 4, 225, 400])

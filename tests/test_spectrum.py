@@ -12,7 +12,8 @@ from spectral_embed.spectrum import (
     GeometryBounds, TruncationError, compute_spectrum, eigen_growth_check,
     eigenfunction_sup_bounds, truncation_index, default_faber_krahn,
     default_trace_constant)
-from spectral_embed.spectrum import _canonical_basis, _multiplets, _tail_terms
+from spectral_embed.spectrum import (_canonical_basis, _multiplets, _tail_terms,
+                                     _upper_gamma)
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -318,6 +319,33 @@ class TestTruncationIndex:
         with pytest.raises(TruncationError) as err:
             truncation_index(spec, 0.05, 1e-12, CALIBRATED)
         assert err.value.partial_tail > 0
+
+
+class TestUpperGamma:
+    # the tail's s = n and n + 1/2 against 40-digit mpmath: y = 0 is
+    # Gamma(s), 1e-300 is tiny, and e^(-y) alone is subnormal past 708 and
+    # 0 past 745.  The relative error grows like y eps, the conditioning of
+    # e^(-y): measured at most 125 eps at y = 300 and 270 at y = 740.  A
+    # subnormal result is off by at most two roundings per step, each an
+    # ulp of 5e-324, at most 16 for the 6 steps up to s = 6.5.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_mpmath(self, n):
+        import mpmath
+        eps = np.finfo(float).eps
+        for s in (n, n + 0.5):
+            for y in (0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0, 40.0, 300.0, 740.0,
+                      800.0):
+                with mpmath.workdps(40):
+                    ref = float(mpmath.gammainc(s, y))
+                got = _upper_gamma(s, y)
+                assert abs(got - ref) <= (8 + y) * eps * ref \
+                    + 16 * math.ulp(0.0), (s, y, got, ref)
+
+    def test_y_zero_and_infinity(self):
+        for s in (0.5, 1.0, 2.5, 4.0):
+            assert _upper_gamma(s, 0.0) == pytest.approx(math.gamma(s),
+                                                        rel=1e-15)
+            assert _upper_gamma(s, math.inf) == 0.0
 
 
 class TestDefaults:
