@@ -100,8 +100,12 @@ def identity_chart(n):
     return ChartSpec(n, coeff, 1.0 + 1e-15, 0.5, 0.0)
 
 
-def bump_chart(n, q, center=0.0, width=2.0, alpha=0.5, sample_count=2001,
-               sample_halfwidth=8.0):
+# Every bump is centred at the origin and normalized in C^BUMP_ALPHA on the
+# reference sample linspace(-8, 8, 2001).
+BUMP_ALPHA = 0.5
+
+
+def bump_chart(n, q, width=2.0):
     """Scalar bump coefficients a = (1 + (Q-1) b(x)) I with [b]_alpha <= 1.
 
     The bump is normalized on a reference sample so that both its height
@@ -110,13 +114,11 @@ def bump_chart(n, q, center=0.0, width=2.0, alpha=0.5, sample_count=2001,
     """
     if q <= 1:
         raise ValueError("Q must exceed 1")
-    center = np.broadcast_to(np.asarray(center, dtype=float), (n,))
-    norm, unit = _bump_profile(float(center[0]), width, alpha, sample_count,
-                               sample_halfwidth)
+    norm, unit = _bump_profile(width)
 
     def bump(x):
         x = np.atleast_2d(x)
-        r = np.linalg.norm(x - center, axis=1) / width
+        r = np.linalg.norm(x, axis=1) / width
         return mollifier(r) / norm
 
     def coeff(x):
@@ -125,36 +127,35 @@ def bump_chart(n, q, center=0.0, width=2.0, alpha=0.5, sample_count=2001,
         return vals[:, None, None] * np.eye(n)
 
     seminorm = (q - 1.0) * unit
-    return ChartSpec(n, coeff, float(q), alpha, float(seminorm))
+    return ChartSpec(n, coeff, float(q), BUMP_ALPHA, float(seminorm))
 
 
 @functools.lru_cache(maxsize=16)
-def _bump_profile(center, width, alpha, sample_count, sample_halfwidth):
+def _bump_profile(width):
     """(norm, [ref / norm]_alpha) of the bump on its reference sample.
 
     The profile does not depend on Q, so a sweep over Q pays for the pair
     scan once per profile, and only once when no rescaling is needed.
     """
-    xs = np.linspace(-sample_halfwidth, sample_halfwidth, sample_count)
-    ref = mollifier((xs - center) / width)
-    raw = holder_seminorm(ref, xs[:, None], alpha)
+    xs = np.linspace(-8.0, 8.0, 2001)
+    ref = mollifier(xs / width)
+    raw = holder_seminorm(ref, xs[:, None], BUMP_ALPHA)
     norm = max(1.0, raw / 0.999)
     if norm == 1.0:
         # ref / 1.0 is ref, bit for bit
         return norm, raw
-    return norm, holder_seminorm(ref / norm, xs[:, None], alpha)
+    return norm, holder_seminorm(ref / norm, xs[:, None], BUMP_ALPHA)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form kernels
 # ---------------------------------------------------------------------------
 
-def euclidean_kernel(x, t, y, n=None):
+def euclidean_kernel(x, t, y):
     """The standard heat kernel (4 pi t)^(-n/2) exp(-|x-y|^2 / 4t)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    if n is None:
-        n = x.shape[1]
+    n = x.shape[1]
     d2 = np.sum((x - y) ** 2, axis=1)
     return (4 * math.pi * t) ** (-n / 2.0) * np.exp(-d2 / (4.0 * t))
 
@@ -295,14 +296,13 @@ class ClosenessReport:
 
 
 def closeness_report(points, times, values_a, values_b, source, *,
-                     t_window, x_max=None, exclude_radius=0.5,
-                     exclude_time=0.25, spacing=None):
+                     t_window, x_max, spacing):
     """Sup norms of value and (central-difference) gradient differences.
 
-    The parabolic neighborhood {|x-y| < exclude_radius, t < exclude_time}
-    of the source is excluded, matching the regime where closeness holds.
-    `values_*` have shape (T, ...grid); gradients need `spacing` and a full
-    grid layout.
+    The parabolic neighborhood {|x-y| < 0.5, t < 0.25} of the source is
+    excluded, matching the regime where closeness holds, and so are points
+    beyond |x| = x_max.  `values_*` have shape
+    (T, ...grid) on a full grid of the given `spacing`.
     """
     source = np.asarray(source, dtype=float).ravel()
     sup_v = 0.0
@@ -313,20 +313,18 @@ def closeness_report(points, times, values_a, values_b, source, *,
     for ti, t in enumerate(times):
         if not (t_window[0] <= t <= t_window[1]):
             continue
-        mask = ~((dist < exclude_radius) & (t < exclude_time))
-        if x_max is not None:
-            mask &= np.linalg.norm(np.atleast_2d(points), axis=1) <= x_max
+        mask = ~((dist < 0.5) & (t < 0.25))
+        mask &= np.linalg.norm(np.atleast_2d(points), axis=1) <= x_max
         diff = (values_a[ti] - values_b[ti]).ravel()
         sup_v = max(sup_v, float(np.abs(diff[mask]).max()))
         used += int(mask.sum())
-        if spacing is not None:
-            ga = _grid_gradient(values_a[ti], grid_shape, spacing)
-            gb = _grid_gradient(values_b[ti], grid_shape, spacing)
-            gdiff = np.linalg.norm(ga - gb, axis=-1).ravel()
-            inner = _interior_mask(grid_shape).ravel()
-            sel = mask & inner
-            if sel.any():
-                sup_g = max(sup_g, float(gdiff[sel].max()))
+        ga = _grid_gradient(values_a[ti], grid_shape, spacing)
+        gb = _grid_gradient(values_b[ti], grid_shape, spacing)
+        gdiff = np.linalg.norm(ga - gb, axis=-1).ravel()
+        inner = _interior_mask(grid_shape).ravel()
+        sel = mask & inner
+        if sel.any():
+            sup_g = max(sup_g, float(gdiff[sel].max()))
     return ClosenessReport(sup_v, sup_g, used, tuple(t_window))
 
 
@@ -351,16 +349,16 @@ def _interior_mask(shape):
     return mask
 
 
-def evaluate_on_grid(kernel_fn, grid_kernel, t_indices=None):
-    """Sample a closed-form kernel on a GridKernel's space-time lattice."""
+def evaluate_on_grid(grid_kernel):
+    """The Euclidean kernel from the grid's source on its space-time
+    lattice; zero at t = 0."""
     pts = grid_kernel.points()
-    tis = range(len(grid_kernel.times)) if t_indices is None else t_indices
     out = np.zeros_like(grid_kernel.values)
-    for ti in tis:
-        t = grid_kernel.times[ti]
+    for ti, t in enumerate(grid_kernel.times):
         if t <= 0:
             continue
-        out[ti] = kernel_fn(pts, t).reshape(grid_kernel.values.shape[1:])
+        out[ti] = euclidean_kernel(pts, t, grid_kernel.source).reshape(
+            grid_kernel.values.shape[1:])
     return out
 
 
@@ -368,50 +366,48 @@ def evaluate_on_grid(kernel_fn, grid_kernel, t_indices=None):
 # Study drivers
 # ---------------------------------------------------------------------------
 
-def convergence_study(node_counts, *, halfwidth=6.0, t_max=0.25, steps=1024,
-                      compare_radius=4.0, finest=None):
+def convergence_study(node_counts, *, t_max=0.25, steps=1024):
     """Constant-coefficient grid refinement against the Euclidean kernel.
 
-    `finest`, when given, is the solve of the last node count with these
-    settings; it is read instead of solved again.  Any `store_every` will
-    do, since the final step, the one compared, is always stored.
+    Each grid is solved on [-6, 6] and compared on |x| <= 4, away from the
+    Dirichlet boundary.  Returns (errors, ratios, finest): `finest` is the
+    solve of the last node count, stored every steps // 8 steps, to export.
+    The final step, the one compared, is stored whatever the cadence.
     """
     spec = identity_chart(1)
     errors = []
     for i, nodes in enumerate(node_counts):
-        gk = (finest if finest is not None and i == len(node_counts) - 1
-              else solve_fd_kernel(spec, halfwidth, nodes, 0.0, t_max,
-                                   steps=steps, store_every=steps))
+        last = i == len(node_counts) - 1
+        gk = solve_fd_kernel(spec, 6.0, nodes, 0.0, t_max, steps=steps,
+                             store_every=max(1, steps // 8) if last else steps)
         ti = len(gk.times) - 1
         pts = gk.points()
         exact = euclidean_kernel(pts, gk.times[ti], gk.source)
-        mask = np.abs(pts[:, 0]) <= compare_radius
+        mask = np.abs(pts[:, 0]) <= 4.0
         errors.append(float(np.abs(gk.field(ti)[mask] - exact[mask]).max()))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    return errors, ratios
+    return errors, ratios, gk
 
 
-def ellipticity_sweep(q_minus_one_values, *, halfwidth=8.0, nodes=801,
-                      t_max=0.5, steps=1024, bump_width=2.0, t_window=None,
-                      store_every=16):
+def ellipticity_sweep(q_minus_one_values, *, nodes=801, steps=1024,
+                      bump_width=2.0):
     """FD kernels for a family of bump amplitudes; sup distance to Gaussian.
 
-    Returns per-Q sup differences (value and gradient, outside the
-    parabolic neighborhood of the source) and the log-log slope of the
-    value differences against Q-1.
+    Each kernel is solved on [-8, 8] to t = 0.5, stored every 16th step
+    and compared on |x| <= 6 over t in [0.5/8, 0.5].  Returns per-Q sup
+    differences (value and gradient, outside the parabolic neighborhood of
+    the source) and the log-log slope of the value differences against Q-1.
     """
     sups = []
     grads = []
     for qm1 in q_minus_one_values:
         spec = bump_chart(1, 1.0 + qm1, width=bump_width)
-        gk = solve_fd_kernel(spec, halfwidth, nodes, 0.0, t_max, steps=steps,
-                             store_every=store_every)
-        window = t_window or (t_max / 8.0, t_max)
-        exact = evaluate_on_grid(
-            lambda p, t: euclidean_kernel(p, t, gk.source), gk)
-        rep = closeness_report(gk.points(), gk.times, gk.values, exact,
-                               gk.source, t_window=window,
-                               x_max=halfwidth - 2.0, spacing=gk.spacing)
+        gk = solve_fd_kernel(spec, 8.0, nodes, 0.0, 0.5, steps=steps,
+                             store_every=16)
+        rep = closeness_report(gk.points(), gk.times, gk.values,
+                               evaluate_on_grid(gk), gk.source,
+                               t_window=(0.5 / 8.0, 0.5), x_max=8.0 - 2.0,
+                               spacing=gk.spacing)
         sups.append(rep.sup_value)
         grads.append(rep.sup_gradient)
     logs = np.log(np.asarray(q_minus_one_values))
@@ -419,17 +415,17 @@ def ellipticity_sweep(q_minus_one_values, *, halfwidth=8.0, nodes=801,
     return sups, grads, slope
 
 
-def export_grid_kernel(gk, path, stride=1):
+def export_grid_kernel(gk, path):
     if gk.dim == 1:
         header = ["x", "t", "value"]
         rows = []
-        for ti in range(0, len(gk.times), stride):
+        for ti in range(len(gk.times)):
             for xi, x in enumerate(gk.axes[0]):
                 rows.append((x, gk.times[ti], gk.values[ti, xi]))
     else:
         header = ["x", "y", "t", "value"]
         rows = []
-        for ti in range(0, len(gk.times), stride):
+        for ti in range(len(gk.times)):
             for xi, x in enumerate(gk.axes[0]):
                 for yi, y in enumerate(gk.axes[1]):
                     rows.append((x, y, gk.times[ti], gk.values[ti, xi, yi]))

@@ -369,15 +369,9 @@ def cmd_charts(cfg, outdir, seed, scan):
         raise ConfigError(f"charts.q_list must list at least 2 distinct "
                           f"values Q - 1 with 1 < Q, got {qs}")
 
-    # the finest convergence grid, stored every steps // 8 steps, is also
-    # the exported kernel: it is solved once
-    reference = charts_mod.solve_fd_kernel(
-        charts_mod.identity_chart(1), 6.0, nodes[-1], 0.0, t_max,
-        steps=steps, store_every=max(1, steps // 8))
-    errors, ratios = charts_mod.convergence_study(
-        nodes, t_max=t_max, steps=steps, finest=reference)
-    charts_mod.export_grid_kernel(reference,
-                                  os.path.join(outdir, "kernel.csv"))
+    errors, ratios, finest = charts_mod.convergence_study(
+        nodes, t_max=t_max, steps=steps)
+    charts_mod.export_grid_kernel(finest, os.path.join(outdir, "kernel.csv"))
     sups, grads, slope = charts_mod.ellipticity_sweep(
         qs, nodes=cfg.value("charts.sweep_nodes"),
         steps=cfg.value("charts.sweep_steps"),
@@ -470,6 +464,8 @@ def cmd_embed(cfg, outdir, seed, scan, band=(None, ...)):
                     "delta": net.delta if net else "none",
                     "n_trunc": n_trunc, "n_0": len(net) if net else 0})
     _write_summary(outdir, "embed_report.txt", cfg, entries)
+    if rep.dil_max == 0.0:  # every near pair has one image: no embedding
+        raise ValueError(f"the map collapsed: dil_max = 0.0 at t = {t!r}")
 
     lo = cfg.value("embed.band_lo", band[0])
     return lo is None or (rep.dil_min >= lo
@@ -607,14 +603,15 @@ def verify_decay(cfg, outdir, seed):
     bounds = build_bounds(cfg, man)
     pairs = _pairs_at_distances(
         man, cfg.value("verify.distances", [0.5, math.pi]))
-    ts, grad_const = cfg.value("heat.t_grid"), cfg.value("bounds.d", None)
+    ts = cfg.value("heat.t_grid")
+    grad_const = cfg.value("bounds.d", 2.0 ** man.dim)
     t = unbounded_decay_time(man, bounds, pairs, ts, grad_const)
     if t is not None:
         raise ConfigError(f"heat.t_grid = {t!r} puts the decay bounds "
                           f"outside the double range")
     spec = build_spectrum(cfg, man, 200)
     ev = HeatEvaluator(spec, spec.count - 1)
-    rep = decay_check(ev, bounds, pairs, ts, grad_const=grad_const)
+    rep = decay_check(ev, bounds, pairs, ts, grad_const)
     export_decay(rep, os.path.join(outdir, "decay.csv"),
                  os.path.join(outdir, "decay_gradient.csv"))
     ok = rep.all_pass()

@@ -302,8 +302,8 @@ def default_h_far(manifold):
     return manifold.diameter() / 8.0
 
 
-def _near_pairs(manifold, h_near, pairs, count, seed):
-    """The given `pairs`, or `count` pairs within h_near drawn with `seed`.
+def _near_pairs(manifold, h_near, count, seed):
+    """`count` pairs within h_near drawn with `seed`.
 
     h_near is checked first, so a bad value fails before any sampling.
     """
@@ -312,18 +312,14 @@ def _near_pairs(manifold, h_near, pairs, count, seed):
     if isinstance(manifold, TriMesh) and h_near < 3 * manifold.mean_edge_length():
         raise ValueError("h_near below 3 mesh edge lengths: difference "
                          "quotients would be dominated by graph error")
-    if pairs is not None:
-        return pairs
     return sample_near_pairs(manifold, h_near, count,
                              np.random.default_rng(seed))
 
 
-def _far_pairs(manifold, h_far, pairs, count, seed):
-    """The given `pairs`, or `count` pairs beyond h_far drawn with `seed`."""
+def _far_pairs(manifold, h_far, count, seed):
+    """`count` pairs beyond h_far drawn with `seed`."""
     if h_far <= 0:
         raise ValueError("h_far must be positive")
-    if pairs is not None:
-        return pairs
     return sample_far_pairs(manifold, h_far, count,
                             np.random.default_rng(seed))
 
@@ -340,23 +336,21 @@ def _injectivity(emap, fx, fy, ds, h_far):
             "h_far": float(h_far), "min_distance": float(np.min(ds))}
 
 
-def dilatation_report(emap, manifold, h_near, *, pairs=None, count=400,
-                      seed=0):
+def dilatation_report(emap, manifold, h_near, *, count=400, seed=0):
     """Difference-quotient dilatation over near pairs.
 
     The stored scale already carries the normalizing constant, so a
     near-isometry shows ratios inside [1-eps, 1+eps] directly.
     """
-    xs, ys, ds = _near_pairs(manifold, h_near, pairs, count, seed)
+    xs, ys, ds = _near_pairs(manifold, h_near, count, seed)
     return _dilatation(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
                        ds, h_near)
 
 
-def injectivity_report(emap, manifold, h_far, *, pairs=None, count=400,
-                       seed=0):
+def injectivity_report(emap, manifold, h_far, *, count=400, seed=0):
     """Minimal image separation over far pairs; positive margin certifies
     injectivity at the sample resolution."""
-    xs, ys, ds = _far_pairs(manifold, h_far, pairs, count, seed)
+    xs, ys, ds = _far_pairs(manifold, h_far, count, seed)
     return _injectivity(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
                         ds, h_far)
 
@@ -375,7 +369,7 @@ def continuous_dilatation(ev, p, t):
     frame = man.tangent_frame(p)
     Q = man.sample_points()
     wq = man.sample_weights(Q)
-    gradp = sp.gradients(ev._points(p)[0])[0][: ev.n_trunc + 1]
+    gradp = sp.gradients(ev._points(p))[0][: ev.n_trunc + 1]
     vq = sp.values(Q)[:, : ev.n_trunc + 1]
     w = ev.weights(t)
     scale = map_scale("H", n, t)
@@ -389,8 +383,8 @@ def continuous_dilatation(ev, p, t):
 
 
 def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
-                   eigencount=None, t_max=1.0, levels=8, h_near=None,
-                   h_far=None, count=400, seed=0):
+                   eigencount=None, t_max=1.0, levels=8, h_near, h_far,
+                   count=400, seed=0):
     """Evaluate the map over a geometric t-grid and pick the best time.
 
     A suitable small t is known to exist but not constructively; the scan
@@ -402,13 +396,11 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
     if levels < 1:
         raise ValueError("a scan needs at least one level")
     man = manifold if manifold is not None else evaluator.manifold
-    h_near = default_h_near(man) if h_near is None else h_near
-    h_far = default_h_far(man) if h_far is None else h_far
     ts = [t_max * 2.0 ** (-j) for j in range(levels)]
     emaps = [make_map(kind, evaluator=evaluator, net=net, manifold=man, t=t,
                       eigencount=eigencount) for t in ts]
-    near = _near_pairs(man, h_near, None, count, seed)
-    far = _far_pairs(man, h_far, None, count, seed)
+    near = _near_pairs(man, h_near, count, seed)
+    far = _far_pairs(man, h_far, count, seed)
     features = [map_features(emaps[0], p)
                 for p in (near[0], near[1], far[0], far[1])]
     net_features = _net_features(emaps[0])

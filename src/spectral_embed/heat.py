@@ -13,9 +13,11 @@ from . import reporting
 class HeatEvaluator:
     """A spectrum cut at index N, evaluating K_N and its spatial gradient.
 
-    K_N(p,t;q) = sum_{k<=N} e^(-lambda_k t) phi_k(p) phi_k(q); the kernel
-    is evaluated with a fixed summation order so K_N(p,t;q) == K_N(q,t;p)
-    exactly.
+    K_N(p,t;q) = sum_{k<=N} e^(-lambda_k t) phi_k(p) phi_k(q), summed in
+    index order.  K_N(p,t;q) and K_N(q,t;p) agree to roundoff, not bit for
+    bit: each term is rounded as (w phi(p)) phi(q) in the first and as
+    (w phi(q)) phi(p) in the second, so the two can differ by a few units
+    of `roundoff_floor`'s scale eps sqrt(K(p,t;p) K(q,t;q)).
     """
 
     def __init__(self, spectrum: Spectrum, n_trunc: int):
@@ -28,10 +30,10 @@ class HeatEvaluator:
         self._no_points = self.manifold.sample_points()[:0]
 
     def _points(self, p):
-        """Normalize to a point batch; returns (batch, was_single)."""
+        """A point or a point batch as a batch."""
         empty = self._no_points
-        arr = np.asarray(p, dtype=empty.dtype)
-        return arr.reshape((-1,) + empty.shape[1:]), arr.ndim < empty.ndim
+        return np.asarray(p, dtype=empty.dtype).reshape(
+            (-1,) + empty.shape[1:])
 
     def weights(self, t):
         lam = self.spectrum.eigenvalues[: self.n_trunc + 1]
@@ -39,16 +41,11 @@ class HeatEvaluator:
 
     def truncated_values(self, P):
         """phi_0 .. phi_N at a point batch, (len(P), N + 1); t-independent."""
-        return self.spectrum.values(self._points(P)[0])[:, : self.n_trunc + 1]
+        return self.spectrum.values(self._points(P))[:, : self.n_trunc + 1]
 
     def kernel(self, p, t, q):
-        """K_N between matched point batches (or single points)."""
-        P, sp = self._points(p)
-        Q, sq = self._points(q)
-        vp = self.truncated_values(P)
-        vq = self.truncated_values(Q)
-        out = np.sum(self.weights(t) * vp * vq, axis=1)
-        return float(out[0]) if (sp and sq) else out
+        """K_N(p, t; q) at two single points."""
+        return self.pair_at(self.pair_terms(p, q), t)[0]
 
     def kernel_matrix(self, P, t, Q):
         """K_N on a product grid, (len(P), len(Q))."""
@@ -64,13 +61,9 @@ class HeatEvaluator:
         return (vp * self.weights(t)) @ vq.T
 
     def gradient(self, p, t, q):
-        """Gradient of K_N in its first argument: tangent vectors at p."""
-        P, sp = self._points(p)
-        Q, sq = self._points(q)
-        gp = self.spectrum.gradients(P)[:, : self.n_trunc + 1]
-        vq = self.truncated_values(Q)
-        out = np.einsum("k,pkd,pk->pd", self.weights(t), gp, vq)
-        return out[0] if (sp and sq) else out
+        """Gradient of K_N(p, t; q) in p, a tangent vector at p, at two
+        single points."""
+        return self.pair_at(self.pair_terms(p, q), t)[1]
 
     def roundoff_floor(self, p, t, q):
         """Numerical resolution of kernel and gradient values at (p, t, q).
@@ -86,14 +79,14 @@ class HeatEvaluator:
         """phi(p) and phi(q), (1, N + 1), and grad phi(p), (1, N + 1, dim),
         at two single points: every t-independent factor of `kernel`,
         `gradient` and `roundoff_floor` there."""
-        P, Q = self._points(p)[0], self._points(q)[0]
+        P, Q = self._points(p), self._points(q)
         return (self.truncated_values(P), self.truncated_values(Q),
                 self.spectrum.gradients(P)[:, : self.n_trunc + 1])
 
     def pair_at(self, terms, t):
-        """K_N(p, t; q), its gradient in p and `roundoff_floor(p, t, q)`
-        from `pair_terms(p, q)`, bit for bit as the three methods give them
-        at single points."""
+        """K_N(p, t; q), its gradient in p and the roundoff floors of both
+        from `pair_terms(p, q)`: the one evaluation behind `kernel`,
+        `gradient` and `roundoff_floor`."""
         vp, vq, gp = terms
         w = self.weights(t)
         value = float(np.sum(w * vp * vq, axis=1)[0])
@@ -168,12 +161,10 @@ def decay_gradient_bound(d, t, bounds, grad_const):
     return grad_const / t ** ((n + 1) / 2.0) * np.exp(-d ** 2 / (8 * t))
 
 
-def unbounded_decay_time(manifold, bounds, pairs, ts, grad_const=None):
+def unbounded_decay_time(manifold, bounds, pairs, ts, grad_const):
     """The first t in `ts` at which the kernel or gradient decay bound of a
     pair leaves the doubles (nan, inf or an overflow), or None.  It reads
     only the manifold, so a run can check its times before evaluating."""
-    if grad_const is None:
-        grad_const = 2.0 ** bounds.dim
     distances = [_pair_distance(manifold, p, q) for p, q in pairs]
     for t in ts:
         for d in distances:
@@ -188,17 +179,15 @@ def unbounded_decay_time(manifold, bounds, pairs, ts, grad_const=None):
     return None
 
 
-def decay_check(ev, bounds, pairs, ts, grad_const=None):
+def decay_check(ev, bounds, pairs, ts, grad_const):
     """Kernel and gradient decay-bound table over pairs x times.
 
-    `grad_const` is the gradient decay constant D(n); it has no canonical
-    value and defaults to 2^n.  Gradient rows with t > 2 r_h^2 fall outside
-    the regime of the bound and are marked instead of judged.  Measured
+    `grad_const` is the gradient decay constant D(n), which has no
+    canonical value (`bounds.d`).  Gradient rows with t > 2 r_h^2 fall
+    outside the regime of the bound and are marked instead of judged.  Measured
     values carry a roundoff floor: a bound many orders below the summation
     noise of the spectral series cannot be falsified by it.
     """
-    if grad_const is None:
-        grad_const = 2.0 ** bounds.dim
     r_h = bounds.require_harmonic_radius()
     rows = []
     for (p, q) in pairs:
@@ -249,38 +238,39 @@ class VaradhanReport:
                 for r in self.rows]
 
 
-def varadhan_time_grid(d, levels=(18.0, 24.0, 30.0)):
-    """Per-pair time grid keeping the kernel representable: t = d^2/(4 L).
+def varadhan_time_grid(d):
+    """Per-pair time grid keeping the kernel representable: t = d^2/(4 L)
+    for L = 18, 24, 30, where the Gaussian factor e^(-L) stays above the
+    roundoff floor of the spectral sum.
 
     For coincident pairs there is no Gaussian decay to resolve; a fixed
     small-time grid is returned.
     """
     if d <= 0:
         return (1e-4, 3e-5, 1e-5)
-    return tuple(d ** 2 / (4.0 * L) for L in levels)
+    return tuple(d ** 2 / (4.0 * L) for L in (18.0, 24.0, 30.0))
 
 
-def varadhan_check(ev, pairs, t_grids=None, bounds=None, trunc_eps=1e-12):
+def varadhan_check(ev, pairs, t_grids, bounds):
     """Fit -4t log K_N against t and extrapolate to t = 0 per pair.
 
-    When `bounds` are supplied, the truncation index at the smallest time
-    is verified so the truncated kernel stands in for the full one.
-    Underflowing times are dropped from the fit with a warning.
+    The truncation index at each pair's smallest time in `t_grids` is
+    certified to 1e-12 under `bounds`, so the truncated kernel stands in
+    for the full one.  Underflowing times are dropped from the fit with a
+    warning.
     """
     rows = []
-    for i, (p, q) in enumerate(pairs):
+    for (p, q), ts in zip(pairs, t_grids, strict=True):
         d = _pair_distance(ev.manifold, p, q)
-        ts = t_grids[i] if t_grids is not None else varadhan_time_grid(d)
-        if bounds is not None:
-            needed = truncation_index(ev.spectrum, min(ts), trunc_eps, bounds)
-            if ev.n_trunc < needed:
-                raise ValueError(
-                    f"truncation N={ev.n_trunc} too small for t={min(ts)}: "
-                    f"need N>={needed}")
+        needed = truncation_index(ev.spectrum, min(ts), 1e-12, bounds)
+        if ev.n_trunc < needed:
+            raise ValueError(
+                f"truncation N={ev.n_trunc} too small for t={min(ts)}: "
+                f"need N>={needed}")
+        terms = ev.pair_terms(p, q)  # the basis, once per pair
         used, ys, dropped = [], [], []
         for t in ts:
-            val = ev.kernel(p, t, q)
-            floor, _ = ev.roundoff_floor(p, t, q)
+            val, _, (floor, _) = ev.pair_at(terms, t)
             if val <= 64.0 * floor or not np.isfinite(np.log(val)):
                 dropped.append(t)
                 warnings.warn(f"kernel underflow at t={t}; dropped from fit",

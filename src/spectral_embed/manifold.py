@@ -993,7 +993,7 @@ class OperatorPair:
         self.mass = mass.tocsr()
 
 
-def assemble_laplacian(mesh, aspect_warn=1e4, faces=None):
+def assemble_laplacian(mesh, faces=None):
     """Cotangent stiffness + lumped barycentric mass for a TriMesh.
 
     `faces` restricts the stiffness to the contributions of those faces
@@ -1014,7 +1014,8 @@ def assemble_laplacian(mesh, aspect_warn=1e4, faces=None):
         np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)], axis=1)
     aspect = edge_len.max(axis=1) ** 2 / (2 * areas)
     ids = np.arange(len(tri)) if faces is None else np.asarray(faces)
-    for k in np.nonzero(aspect > aspect_warn)[0]:
+    # past 1e4 the cotangent weights of a triangle are unreliable
+    for k in np.nonzero(aspect > 1e4)[0]:
         warnings.warn(f"triangle {ids[k]} is numerically degenerate "
                       f"(aspect {aspect[k]:.2e})", RuntimeWarning)
 

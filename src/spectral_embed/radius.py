@@ -106,30 +106,23 @@ def _boundary_to_ball(n, lam_r):
     return lam_r * boundary / ball
 
 
-def hessian_bound(n, lam_r, coth_bound, form="exact"):
+def hessian_bound(n, lam_r, coth_bound):
     """Averaged-squared-Hessian bound F(n, lam r, coth bound).
 
-    `form="exact"` uses the true model volume ratio; `form="crude"` replaces
-    it with 2^(n-1) cosh^(n-1)(lam r / 2), the explicit estimate.  Both are
-    nondecreasing in lam_r and in the coth bound.
+    Uses the true model volume ratio r Vol(dB_r)/Vol(B_r), a dimensionless
+    function of lam*r with flat limit n, whose explicit upper estimate is
+    2^(n-1) cosh^(n-1)(lam r / 2).  Nondecreasing in lam_r and in the coth
+    bound.
     """
     if lam_r <= 0:
         raise ValueError("lam_r must be positive")
     if coth_bound < 1:
         raise ValueError("coth bound is at least 1")
     base = (n - 1) * lam_r + (n - 1) ** 2 * lam_r * coth_bound ** 2
-    if form == "crude":
-        ratio_term = 2.0 ** (n - 1) * math.cosh(lam_r / 2.0) ** (n - 1)
-    elif form == "exact":
-        # r Vol(dB_r)/Vol(B_r) in the model space, a dimensionless function
-        # of lam*r with flat limit n; the crude form is its upper bound
-        ratio_term = _boundary_to_ball(n, lam_r)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return base + ratio_term * (n - 1) * coth_bound
+    return base + _boundary_to_ball(n, lam_r) * (n - 1) * coth_bound
 
 
-def _holder_terms(n, lam_r, lam_iota, form):
+def _holder_terms(n, lam_r, lam_iota):
     """(VolRatio(4r, r), c(n, 3 lam r), F(n, 3 lam r, coth(lam iota/16)), C)
     with C = 6 (12 VolRatio c F)^(1/2); every radius is a multiple of the
     product lam r, so 3 lam r is computed as 3 (lam r)."""
@@ -137,51 +130,38 @@ def _holder_terms(n, lam_r, lam_iota, form):
     ball_4r, _ = model_volumes(n, 1.0, 4.0 * lam_r)
     vol_ratio = ball_4r / ball_r
     c = segment_constant(n, 3.0 * lam_r)
-    f = hessian_bound(n, 3.0 * lam_r, 1.0 / math.tanh(lam_iota / 16.0),
-                      form=form)
+    f = hessian_bound(n, 3.0 * lam_r, 1.0 / math.tanh(lam_iota / 16.0))
     return vol_ratio, c, f, 6.0 * math.sqrt(12.0 * vol_ratio * c * f)
 
 
-def holder_constant(n, lam_r, lam_iota, form="exact"):
+def holder_constant(n, lam_r, lam_iota):
     """Holder constant of distance-gradient inner products.
 
     C = 6 (12 VolRatio(4r, r) c(n, 3 lam r) F(n, 3 lam r, coth(lam iota/16)))^(1/2).
     """
-    return _holder_terms(n, lam_r, lam_iota, form)[3]
-
-
-CONDITION_THRESHOLDS = {
-    # the three explicit smallness conditions under which the coordinate
-    # constructions work; the harmonic-case constant has no closed form,
-    # so the solver exposes the threshold as a preset
-    "distance": lambda n: 1.0 / (2.0 * n),
-    "harmonic_pre": lambda n: 1.0 / (4.0 * n),
-    "harmonic": lambda n: 1.0 / n,
-}
+    return _holder_terms(n, lam_r, lam_iota)[3]
 
 
 @dataclass(frozen=True)
 class CoordinateRadius:
     r: float
     binding: str           # "cap" | "condition"
-    condition: str
     threshold: float
 
 
-def coordinate_radius(n, lam, iota, condition="distance", form="exact"):
-    """Largest r below iota/64 satisfying the selected smallness condition.
+def coordinate_radius(n, lam, iota):
+    """Largest r below iota/64 with C sqrt(lam r) < 1/(2n), the smallness
+    condition under which distance coordinates work.
 
     Bisected to 1e-12 relative; reports whether the iota/64 cap or the
     Holder condition binds.
     """
-    if condition not in CONDITION_THRESHOLDS:
-        raise ValueError(f"unknown condition {condition!r}")
-    threshold = CONDITION_THRESHOLDS[condition](n)
+    threshold = 1.0 / (2.0 * n)
     cap = iota / 64.0
 
     def ok(r):
         try:
-            return holder_constant(n, lam * r, lam * iota, form=form) \
+            return holder_constant(n, lam * r, lam * iota) \
                 * math.sqrt(lam * r) < threshold
         except OverflowError:
             # the constant grows like sinh of the radius; overflow means
@@ -190,7 +170,7 @@ def coordinate_radius(n, lam, iota, condition="distance", form="exact"):
 
     r_hi = cap * (1.0 - 1e-15)
     if ok(r_hi):
-        return CoordinateRadius(r_hi, "cap", condition, threshold)
+        return CoordinateRadius(r_hi, "cap", threshold)
     lo, hi = 0.0, r_hi
     while (hi - lo) > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
@@ -200,7 +180,7 @@ def coordinate_radius(n, lam, iota, condition="distance", form="exact"):
             lo = mid
         else:
             hi = mid
-    return CoordinateRadius(lo, "condition", condition, threshold)
+    return CoordinateRadius(lo, "condition", threshold)
 
 
 def abresch_gromoll(n, lam, big_r, r):
@@ -226,7 +206,7 @@ def abresch_gromoll(n, lam, big_r, r):
     return val
 
 
-def constants_sweep(n, lam, iota, radii, form="exact"):
+def constants_sweep(n, lam, iota, radii):
     """Rows (n, lam, iota, r, volratio, c, F, C, cond_dist, cond_harm).
 
     The radii are taken as Python floats, so a model ball that underflows
@@ -234,7 +214,7 @@ def constants_sweep(n, lam, iota, radii, form="exact"):
     """
     rows = []
     for r in map(float, radii):
-        vol_ratio, c, f, big_c = _holder_terms(n, lam * r, lam * iota, form)
+        vol_ratio, c, f, big_c = _holder_terms(n, lam * r, lam * iota)
         lhs = big_c * math.sqrt(lam * r)
         rows.append((n, lam, iota, r, vol_ratio, c, f, big_c,
                      int(lhs < 1.0 / (2 * n)), int(lhs < 1.0 / n)))
@@ -318,16 +298,21 @@ def _holder_over_faces(mesh, gram, faces, alpha=0.5):
     return best
 
 
-def distance_coordinates_experiment(mesh, base, r, *, iota, frame_factor=0.25):
+# The sources of the coordinate fields sit FRAME_FACTOR * iota from the
+# base vertex, one along each direction of its tangent frame.
+FRAME_FACTOR = 0.25
+
+
+def distance_coordinates_experiment(mesh, base, r, *, iota):
     """Distance-function coordinates around a base vertex.
 
     Places one source per tangent-frame direction at distance
-    `frame_factor * iota`, computes exact distance fields, per-triangle
+    `FRAME_FACTOR * iota`, computes exact distance fields, per-triangle
     gradients, and the gram matrix field over the ball of radius r.
     """
     if mesh.reference is None:
         raise ValueError("experiment needs a mesh with reference geometry")
-    d_frame = frame_factor * iota
+    d_frame = FRAME_FACTOR * iota
     sources = frame_points(mesh, base, d_frame)
     fields = _distance_fields(mesh, sources)
     base_field = mesh.exact_distance_from(base)
@@ -359,8 +344,7 @@ class HarmonicCoordinateReport:
     radius: float
 
 
-def harmonic_coordinates_experiment(mesh, base, r, *, iota,
-                                    frame_factor=0.25, fields=None):
+def harmonic_coordinates_experiment(mesh, base, r, *, iota, fields=None):
     """Harmonic coordinates by a Dirichlet solve with distance boundary data.
 
     Solves Laplace(b_i) = 0 on the ball interior with b_i = rho_i on the
@@ -371,7 +355,7 @@ def harmonic_coordinates_experiment(mesh, base, r, *, iota,
     cost scales with the ball and not with the mesh.
     """
     if fields is None:
-        sources = frame_points(mesh, base, frame_factor * iota)
+        sources = frame_points(mesh, base, FRAME_FACTOR * iota)
         fields = _distance_fields(mesh, sources)
     base_field = mesh.exact_distance_from(base)
     inside = base_field < r

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .manifold import AnalyticManifold, OperatorPair, TriMesh, assemble_laplacian
+from .manifold import AnalyticManifold, TriMesh, assemble_laplacian
 from . import reporting
 
 
@@ -238,11 +238,10 @@ def _canonical_basis(lams, vectors, masses):
     return lams, _fix_signs(vectors)
 
 
-def compute_spectrum(target, count, *, mesh=None):
+def compute_spectrum(target, count):
     """First `count` eigenpairs of -Laplace, ascending, mass-orthonormal.
 
-    `target` may be a TriMesh, an OperatorPair (with `mesh` supplied for
-    gradient evaluation), or an analytic manifold.
+    `target` is a TriMesh or an analytic manifold.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -250,17 +249,11 @@ def compute_spectrum(target, count, *, mesh=None):
     if isinstance(target, AnalyticManifold):
         basis = target.eigenbasis(count)
         return Spectrum(basis.eigenvalues, target, basis=basis)
-
-    if isinstance(target, TriMesh):
-        mesh = target
-        ops = assemble_laplacian(mesh)
-    elif isinstance(target, OperatorPair):
-        if mesh is None:
-            raise ValueError("OperatorPair input needs the mesh as well")
-        ops = target
-    else:
+    if not isinstance(target, TriMesh):
         raise TypeError(f"cannot compute a spectrum for {type(target)!r}")
 
+    mesh = target
+    ops = assemble_laplacian(mesh)
     nv = ops.stiffness.shape[0]
     if count >= nv:
         raise ValueError("count must be below the vertex count")
@@ -440,7 +433,7 @@ def _tail_terms(spectrum, t, bounds, empirical_c):
     return terms, float(remainder)
 
 
-def truncation_index(spectrum, t, eps, bounds, empirical_c=None):
+def truncation_index(spectrum, t, eps, bounds):
     """Smallest N whose certified tail bound is below eps.
 
     Antitone in both t and eps.  Raises :class:`TruncationError` when the
@@ -448,8 +441,7 @@ def truncation_index(spectrum, t, eps, bounds, empirical_c=None):
     """
     if t <= 0 or eps <= 0:
         raise ValueError("t and eps must be positive")
-    if empirical_c is None:
-        empirical_c = eigenfunction_sup_bounds(spectrum).empirical_constant
+    empirical_c = eigenfunction_sup_bounds(spectrum).empirical_constant
     terms, remainder = _tail_terms(spectrum, t, bounds, empirical_c)
 
     # tail(N) = sum of terms for k > N, plus remainder; terms[i] is index i+1

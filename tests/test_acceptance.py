@@ -204,7 +204,7 @@ def test_criterion_07_thin_torus_counterexample():
 
 def test_criterion_08_charts():
     start = time.perf_counter()
-    errors, ratios = convergence_study([41, 81, 161])
+    errors, ratios, _ = convergence_study([41, 81, 161])
     for r in ratios:
         assert 3.0 <= r <= 5.0, ratios
     sups, grads, slope = ellipticity_sweep([0.02, 0.04, 0.08],

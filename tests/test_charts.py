@@ -226,7 +226,7 @@ def const_kernel():
 
 class TestFiniteDifferenceKernel:
     def test_second_order_convergence(self):
-        errors, ratios = convergence_study([41, 81, 161])
+        errors, ratios, _ = convergence_study([41, 81, 161])
         for r in ratios:
             assert 3.0 <= r <= 5.0
 
@@ -289,7 +289,7 @@ class TestCloseness:
         rep = closeness_report(const_kernel.points(), const_kernel.times,
                                const_kernel.values, const_kernel.values,
                                const_kernel.source, t_window=(0.05, 0.25),
-                               spacing=const_kernel.spacing)
+                               x_max=6.0, spacing=const_kernel.spacing)
         assert rep.sup_value == 0.0
         assert rep.sup_gradient == 0.0
 
@@ -299,7 +299,8 @@ class TestCloseness:
         times = np.array([0.1, 0.2])
         a = np.stack([euclidean_kernel(pts, t, [0.0]) for t in times])
         b = np.stack([frozen_kernel(pts, t, [0.0], spec) for t in times])
-        rep = closeness_report(pts, times, a, b, [0.0], t_window=(0.0, 1.0))
+        rep = closeness_report(pts, times, a, b, [0.0], t_window=(0.0, 1.0),
+                               x_max=4.0, spacing=0.1)
         assert rep.sup_value <= 1e-15  # same Gaussian, two float paths
 
     def test_ellipticity_linear_scaling(self):
@@ -331,16 +332,20 @@ class TestCloseness:
         spec = bump_chart(1, 1.08, width=2.0)
         gk = solve_fd_kernel(spec, 6.0, 401, 0.0, 0.2, steps=512,
                              store_every=8)
-        exact = evaluate_on_grid(
-            lambda p, t: euclidean_kernel(p, t, gk.source), gk)
+        exact = evaluate_on_grid(gk)
         window = (0.004, 0.05)
-        incl = closeness_report(gk.points(), gk.times, gk.values, exact,
-                                gk.source, t_window=window, x_max=4.0,
-                                exclude_radius=0.0, spacing=gk.spacing)
         excl = closeness_report(gk.points(), gk.times, gk.values, exact,
                                 gk.source, t_window=window, x_max=4.0,
                                 spacing=gk.spacing)
-        assert incl.sup_gradient > 5.0 * excl.sup_gradient
+        # the same sup over the interior of |x| <= 4 with nothing excluded
+        shape = gk.values.shape[1:]
+        inner = charts._interior_mask(shape) & (np.abs(gk.axes[0]) <= 4.0)
+        incl = max(
+            np.abs(charts._grid_gradient(gk.values[ti], shape, gk.spacing)
+                   - charts._grid_gradient(exact[ti], shape, gk.spacing))
+            [inner].max()
+            for ti, t in enumerate(gk.times) if window[0] <= t <= window[1])
+        assert incl > 5.0 * excl.sup_gradient
 
 
 def test_grid_dimension_guard():
@@ -354,8 +359,7 @@ def test_2d_variable_bump_close_to_euclidean():
     spec = bump_chart(2, 1.06, width=1.5)
     gk = solve_fd_kernel(spec, 4.0, 81, (0.0, 0.0), 0.4, steps=256,
                          store_every=32)
-    exact = evaluate_on_grid(
-        lambda p, t: euclidean_kernel(p, t, gk.source), gk)
+    exact = evaluate_on_grid(gk)
     rep = closeness_report(gk.points(), gk.times, gk.values, exact,
                            gk.source, t_window=(0.1, 0.4), x_max=2.5,
                            spacing=gk.spacing)

@@ -932,9 +932,18 @@ class TestExportSurfaces:
         charts_mod.export_grid_kernel(reference, str(tmp_path / "kernel.csv"))
         assert ((out / "kernel.csv").read_bytes()
                 == (tmp_path / "kernel.csv").read_bytes())
-        # every grid solved on its own, the finest storing its last step only
-        errors, ratios = charts_mod.convergence_study(nodes, t_max=t_max,
-                                                      steps=steps)
+        # every grid solved on its own, storing its last step only, and
+        # compared with the Gaussian on |x| <= 4
+        errors = []
+        for n in nodes:
+            gk = solve(charts_mod.identity_chart(1), 6.0, n, 0.0, t_max,
+                       steps=steps, store_every=steps)
+            pts = gk.points()
+            exact = charts_mod.euclidean_kernel(pts, gk.times[-1], gk.source)
+            near = np.abs(pts[:, 0]) <= 4.0
+            errors.append(
+                float(np.abs(gk.field(-1)[near] - exact[near]).max()))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
         report = (out / "charts_report.txt").read_text().splitlines()
         expected = [f"conv_error_{i}={e!r}" for i, e in enumerate(errors)]
         expected += [f"conv_ratio_{i}={r!r}" for i, r in enumerate(ratios)]
@@ -1293,6 +1302,32 @@ def test_shipped_configs_run(tmp_path):
     assert cfg.exists()
     assert main(["verify", "counterexample", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
+    assert main(["embed", "--config", str(root / "configs" / "circle_h.cfg"),
+                 "--out", str(tmp_path / "embed")]) == 0
+
+
+# A map whose scale leaves the doubles sends every near pair to one image:
+# the run writes its outputs and fails the check, band keys or not.
+@pytest.mark.parametrize("kind, t", [("H", "1e300"), ("H", "5e-324"),
+                                     ("G", "1e300"), ("F", "1e300"),
+                                     ("F", "5e-324")])
+def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
+    import pathlib
+    shipped = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+               / "circle_h.cfg").read_text()
+    text = "".join(line for line in shipped.splitlines(keepends=True)
+                   if not line.startswith("embed.band_"))
+    cfg = write_cfg(tmp_path, text.replace("embed.map = H",
+                                           f"embed.map = {kind}")
+                    + f"embed.t = {t}\n")
+    out = tmp_path / "out"
+    assert main(["embed", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ")
+    assert "dil_max = 0.0" in err and f"t = {float(t)!r}" in err
+    report = (out / "embed_report.txt").read_text().splitlines()
+    assert "dil_max=0.0" in report
+    assert (out / "embedding.csv").exists() and (out / "ratios.csv").exists()
 
 
 # The fuzzed CLI runs in children forked from one server process that has
@@ -1358,10 +1393,9 @@ FUZZ_HIGH = {"manifold.samples": 3000, "manifold.subdivisions": 3,
 # size, underflowing, or out of memory under the address-space cap
 EXTREME_INTS = {"spectrum.count", "embed.n", "embed.levels", "embed.pairs",
                 "manifold.samples"}
-# keys whose smallest and largest doubles are checked before any solve
-EXTREME_FLOATS = {"embed.delta", "charts.t_max", "charts.bump_width",
-                  "charts.q_list", "manifold.length", "manifold.radius",
-                  "manifold.periods"}
+# every positive float key also draws the smallest and largest doubles
+EXTREME_FLOATS = {name for name, key in KEYS.items()
+                  if key.type.startswith("float") and key.valid == "> 0"}
 FUZZ_KEYS = sorted(set(KEYS) - {"out", "manifold.kind", "manifold.path"})
 
 

@@ -8,9 +8,10 @@ from spectral_embed.manifold import (Circle, FlatTorus, Sphere, make_sphere,
 from spectral_embed.spectrum import Spectrum, compute_spectrum
 from spectral_embed.heat import HeatEvaluator
 from spectral_embed.embed import (
-    Net, build_net, continuous_dilatation, dilatation_report, evaluate_map,
-    image_distance, injectivity_report, make_map, map_features, map_scale,
-    sample_far_pairs, sample_near_pairs, scan_embedding)
+    Net, _dilatation, _injectivity, build_net, continuous_dilatation,
+    dilatation_report, evaluate_map, image_distance, injectivity_report,
+    make_map, map_features, map_scale, sample_far_pairs, sample_near_pairs,
+    scan_embedding)
 
 
 CIRCLE = Circle(2 * np.pi, samples=4096)
@@ -277,10 +278,12 @@ class TestInjectivity:
         assert d.min() >= 0.1 * np.pi - 1e-9
         # modes below the fiber gap are constant along the fiber
         f_lo = make_map("F", evaluator=ev, eigencount=18, t=0.01)
-        lo = injectivity_report(f_lo, torus, 0.1, pairs=(a, b, d))
+        lo = _injectivity(f_lo, evaluate_map(f_lo, a), evaluate_map(f_lo, b),
+                          d, 0.1)
         assert lo["margin"] <= 1e-8
         f_hi = make_map("F", evaluator=ev, eigencount=22, t=0.01)
-        hi = injectivity_report(f_hi, torus, 0.1, pairs=(a, b, d))
+        hi = _injectivity(f_hi, evaluate_map(f_hi, a), evaluate_map(f_hi, b),
+                          d, 0.1)
         assert hi["margin"] > 1e-3
 
 
@@ -299,8 +302,10 @@ class TestContinuousDilatation:
         p = np.array([1.0])
         cont = continuous_dilatation(circle_ev, p, t)
         h = make_map("H", evaluator=circle_ev, net=fine_net, t=t)
-        pairs = sample_near_pairs(CIRCLE, 0.02, 60, np.random.default_rng(4))
-        rep = dilatation_report(h, CIRCLE, 0.02, pairs=pairs)
+        xs, ys, ds = sample_near_pairs(CIRCLE, 0.02, 60,
+                                       np.random.default_rng(4))
+        rep = _dilatation(h, evaluate_map(h, xs), evaluate_map(h, ys), ds,
+                          0.02)
         coarseness = fine_net.delta / math.sqrt(2 * t)
         assert abs(rep.quantile(0.5) - cont) <= 3 * coarseness
 
@@ -472,7 +477,8 @@ def test_scan_mesh_h_near_guard_fires_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="^h_near below 3 mesh edge lengths: "
                        "difference quotients would be dominated by graph "
                        "error$"):
-        scan_embedding("G", evaluator=ev, net=net, h_near=h_near, levels=2)
+        scan_embedding("G", evaluator=ev, net=net, h_near=h_near, h_far=1.0,
+                       levels=2)
     emap = make_map("G", evaluator=ev, net=net, t=0.1)
     with pytest.raises(ValueError, match="edge lengths"):
         dilatation_report(emap, mesh, h_near)
@@ -480,7 +486,8 @@ def test_scan_mesh_h_near_guard_fires_before_sampling(monkeypatch):
 
 def test_scan_needs_a_level(circle_ev, fine_net):
     with pytest.raises(ValueError, match="at least one level"):
-        scan_embedding("G", evaluator=circle_ev, net=fine_net, levels=0)
+        scan_embedding("G", evaluator=circle_ev, net=fine_net, levels=0,
+                       h_near=0.02, h_far=0.5)
 
 
 ICOSPHERE3 = make_sphere(1.0, 3)

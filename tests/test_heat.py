@@ -28,8 +28,32 @@ def integrate_from(ev, p, t):
     """Quadrature of K_N(p,t;.) against the volume measure."""
     man = ev.manifold
     Q = man.sample_points()
-    row = ev.kernel_matrix(ev._points(p)[0], t, Q)
+    row = ev.kernel_matrix(ev._points(p), t, Q)
     return float((row @ man.sample_weights(Q)).ravel()[0])
+
+
+# K_N, its gradient and their roundoff floors between matched point
+# batches, written out term by term: the independent reference for the
+# evaluator's single path through pair_at.
+def reference_kernel(ev, P, t, Q):
+    vp, vq = ev.truncated_values(P), ev.truncated_values(Q)
+    return np.sum(ev.weights(t) * vp * vq, axis=1)
+
+
+def reference_gradient(ev, P, t, Q):
+    gp = ev.spectrum.gradients(ev._points(P))[:, : ev.n_trunc + 1]
+    return np.einsum("k,pkd,pk->pd", ev.weights(t), gp,
+                     ev.truncated_values(Q))
+
+
+def reference_floors(ev, p, t, q):
+    kpp = float(reference_kernel(ev, p, t, p)[0])
+    kqq = float(reference_kernel(ev, q, t, q)[0])
+    gp = ev.spectrum.gradients(ev._points(p))[:, : ev.n_trunc + 1]
+    gpp = float(np.einsum("k,pkd,pkd->p", ev.weights(t), gp, gp)[0])
+    eps = np.finfo(float).eps
+    return (eps * math.sqrt(max(kpp * kqq, 0.0)),
+            eps * math.sqrt(max(gpp * kqq, 0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +91,20 @@ class TestKernel:
         val = ev.kernel(np.array([1.0]), t, np.array([4.0]))
         assert abs(val - 1 / (2 * np.pi)) <= np.exp(-lam1 * t) * 50 * sup_sq
 
-    def test_exact_symmetry(self, circle_ev):
-        p, q = np.array([0.7]), np.array([2.9])
-        assert circle_ev.kernel(p, 0.37, q) == circle_ev.kernel(q, 0.37, p)
+    def test_symmetry_to_roundoff(self, circle_ev):
+        # (w phi(p)) phi(q) and (w phi(q)) phi(p) round apart: about a third
+        # of the pairs differ, each by under one unit of the floor
+        sphere = Sphere(1.0)
+        rng = np.random.default_rng(0)
+        for ev in (circle_ev, HeatEvaluator(compute_spectrum(sphere, 225),
+                                            224)):
+            P = ev.manifold.sample_points()
+            for _ in range(300):
+                i, j = rng.choice(len(P), 2, replace=False)
+                t = float(rng.uniform(0.01, 1.0))
+                floor, _ = ev.roundoff_floor(P[i], t, P[j])
+                assert abs(ev.kernel(P[i], t, P[j])
+                           - ev.kernel(P[j], t, P[i])) <= 4.0 * floor
 
     def test_truncation_bounds_index(self, circle_spec):
         with pytest.raises(ValueError):
@@ -152,7 +187,7 @@ class TestDecay:
         pairs = [(np.array([0.0]), np.array([0.5])),
                  (np.array([0.0]), np.array([np.pi]))]
         ts = [0.01, 0.05, 0.1, 0.5, 1.0]
-        rep = decay_check(circle_ev, bounds, pairs, ts)
+        rep = decay_check(circle_ev, bounds, pairs, ts, 2.0)
         assert rep.all_pass()
         assert all(r.grad_flag == "pass" for r in rep.rows)
 
@@ -172,7 +207,7 @@ class TestDecay:
         ev = Inflated(circle_spec, circle_spec.count - 1)
         bounds = GeometryBounds(dim=1, iota=np.pi, volume=2 * np.pi, r_h=1.0)
         rep = decay_check(ev, bounds, [(np.array([0.0]), np.array([0.5]))],
-                          [0.1])
+                          [0.1], 2.0)
         assert not rep.all_pass()
         assert not rep.rows[0].value_pass
 
@@ -186,23 +221,26 @@ class TestDecay:
             terms = ev.pair_terms(p, q)
             for t in ts:
                 value, grad, floors = ev.pair_at(terms, t)
-                assert value == ev.kernel(p, t, q)
-                assert grad.tobytes() == ev.gradient(p, t, q).tobytes()
-                assert floors == ev.roundoff_floor(p, t, q)
+                assert value == ev.kernel(p, t, q) \
+                    == reference_kernel(ev, p, t, q)[0]
+                assert grad.tobytes() == ev.gradient(p, t, q).tobytes() \
+                    == reference_gradient(ev, p, t, q)[0].tobytes()
+                assert floors == ev.roundoff_floor(p, t, q) \
+                    == reference_floors(ev, p, t, q)
 
     def test_rows_match_the_single_point_methods(self):
         # one basis evaluation per pair gives the kernel and gradient
-        # values the per-time calls give, bit for bit
+        # values the per-pair batch formulas give, bit for bit
         sphere = Sphere(1.0)
         ev = HeatEvaluator(compute_spectrum(sphere, 40), 39)
         bounds = GeometryBounds(dim=2, iota=np.pi, volume=4 * np.pi, r_h=1.0)
         P = sphere.sample_points()
         rep = decay_check(ev, bounds, [(P[0], P[17]), (P[5], P[3])],
-                          [0.1, 0.5])
+                          [0.1, 0.5], 4.0)
         for row in rep.rows:
-            assert row.value == ev.kernel(row.p, row.t, row.q)
+            assert row.value == reference_kernel(ev, row.p, row.t, row.q)[0]
             assert row.grad_value == float(np.linalg.norm(
-                ev.gradient(row.p, row.t, row.q)))
+                reference_gradient(ev, row.p, row.t, row.q)[0]))
 
     @pytest.mark.parametrize("t, index", [(5e-324, 1), (1e300, 1),
                                           (1e-300, 1), (0.5, None)])
@@ -215,13 +253,15 @@ class TestDecay:
         ts = [0.1, t, 2.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = unbounded_decay_time(sphere, bounds, [(P[0], P[9])], ts)
+            got = unbounded_decay_time(sphere, bounds, [(P[0], P[9])], ts,
+                                       4.0)
         assert got == (None if index is None else ts[index])
 
     def test_outside_gradient_regime_marked(self, circle_ev):
         bounds = GeometryBounds(dim=1, iota=np.pi, volume=2 * np.pi, r_h=0.1)
         rep = decay_check(circle_ev, bounds,
-                          [(np.array([0.0]), np.array([1.0]))], [0.005, 1.0])
+                          [(np.array([0.0]), np.array([1.0]))], [0.005, 1.0],
+                          2.0)
         flags = {r.t: r.grad_flag for r in rep.rows}
         assert flags[0.005] in ("pass", "fail")
         assert flags[1.0] == "outside_range"
@@ -247,10 +287,12 @@ class TestVaradhan:
                              [varadhan_time_grid(np.pi)], bounds=CALIBRATED)
         assert rep.rows[0].extrapolated == pytest.approx(np.pi ** 2, rel=0.05)
 
-    def test_coincident_pair_limit(self, big_ev):
-        spec = compute_spectrum(CIRCLE, 4200)
-        ev = HeatEvaluator(spec, 4199)
-        rep = varadhan_check(ev, [(np.array([1.0]), np.array([1.0]))])
+    def test_coincident_pair_limit(self):
+        # t = 1e-5 is certified at 1e-12 from N = 4274 on
+        spec = compute_spectrum(CIRCLE, 5000)
+        ev = HeatEvaluator(spec, 4999)
+        rep = varadhan_check(ev, [(np.array([1.0]), np.array([1.0]))],
+                             [varadhan_time_grid(0.0)], CALIBRATED)
         assert abs(rep.rows[0].extrapolated) < 1e-3
 
     def test_underflow_dropped_with_warning(self, big_ev):
@@ -258,7 +300,8 @@ class TestVaradhan:
         # floating-point resolution of the spectral sum
         pairs = [(np.array([0.0]), np.array([np.pi]))]
         with pytest.warns(RuntimeWarning, match="underflow"):
-            rep = varadhan_check(big_ev, pairs, [(0.15, 0.1, 0.005)])
+            rep = varadhan_check(big_ev, pairs, [(0.15, 0.1, 0.005)],
+                                 CALIBRATED)
         assert rep.rows[0].dropped == (0.005,)
         assert rep.rows[0].used_ts == (0.15, 0.1)
 
@@ -286,3 +329,38 @@ def test_semigroup_exact_on_mesh():
     mid_b = ev.kernel_matrix(verts, 0.4, verts[:6])
     rhs = (mid_a * mesh.masses) @ mid_b
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def test_one_pair_evaluation_path(tmp_path, monkeypatch):
+    # verify varadhan evaluates the basis once per pair and reweights it per
+    # time; kernel, gradient and roundoff_floor read the same pair_at
+    from spectral_embed.cli import main
+    terms, at = [], []
+    pair_terms, pair_at = HeatEvaluator.pair_terms, HeatEvaluator.pair_at
+
+    def counted_terms(self, p, q):
+        terms.append((p, q))
+        return pair_terms(self, p, q)
+
+    def counted_at(self, pair, t):
+        at.append(t)
+        return pair_at(self, pair, t)
+
+    monkeypatch.setattr(HeatEvaluator, "pair_terms", counted_terms)
+    monkeypatch.setattr(HeatEvaluator, "pair_at", counted_at)
+    cfg = tmp_path / "varadhan.cfg"
+    cfg.write_text(f"manifold.kind = circle\nbounds.iota = {np.pi!r}\n"
+                   f"bounds.volume = {2 * np.pi!r}\n"
+                   f"bounds.a = {2 * math.e * np.pi ** 2!r}\n"
+                   "bounds.c = 1.0\nbounds.r_h = 1.0\n"
+                   "verify.distances = 0.5,1.0\n")
+    assert main(["verify", "varadhan", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(terms) == 2 and len(at) == 2 * 3
+
+    ev = HeatEvaluator(compute_spectrum(CIRCLE, 20), 19)
+    p, q = np.array([0.3]), np.array([1.0])
+    for method in (ev.kernel, ev.gradient, ev.roundoff_floor):
+        del terms[:], at[:]
+        method(p, 0.5, q)
+        assert (len(terms), at) == (1, [0.5])
