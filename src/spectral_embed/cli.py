@@ -464,8 +464,11 @@ def cmd_embed(cfg, outdir, seed, scan, band=(None, ...)):
                     "delta": net.delta if net else "none",
                     "n_trunc": n_trunc, "n_0": len(net) if net else 0})
     _write_summary(outdir, "embed_report.txt", cfg, entries)
-    if rep.dil_max == 0.0:  # every near pair has one image: no embedding
-        raise ValueError(f"the map collapsed: dil_max = 0.0 at t = {t!r}")
+    # every near pair has one image, or images apart by less than the
+    # normal doubles resolve: no embedding
+    if rep.dil_max < np.finfo(float).tiny:
+        raise ValueError(
+            f"the map collapsed: dil_max = {rep.dil_max!r} at t = {t!r}")
 
     lo = cfg.value("embed.band_lo", band[0])
     return lo is None or (rep.dil_min >= lo

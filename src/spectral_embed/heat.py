@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum, truncation_index
+from .spectrum import Spectrum, TruncationError, truncation_index
 from . import reporting
 
 
@@ -262,7 +262,12 @@ def varadhan_check(ev, pairs, t_grids, bounds):
     rows = []
     for (p, q), ts in zip(pairs, t_grids, strict=True):
         d = _pair_distance(ev.manifold, p, q)
-        needed = truncation_index(ev.spectrum, min(ts), 1e-12, bounds)
+        try:
+            needed = truncation_index(ev.spectrum, min(ts), 1e-12, bounds)
+        except TruncationError as exc:
+            raise TruncationError(
+                f"cannot certify the pair at distance {d:.6g} down to "
+                f"t={min(ts)!r}: {exc}", exc.partial_tail) from exc
         if ev.n_trunc < needed:
             raise ValueError(
                 f"truncation N={ev.n_trunc} too small for t={min(ts)}: "

@@ -1135,8 +1135,8 @@ def test_scan_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
-    # the same promise on a mesh, whose eigensolve (ARPACK with a sparse
-    # LU) and heat-kernel products run through the BLAS pool
+    # the same promise on a mesh, whose eigensolve (ARPACK with a banded
+    # Cholesky) and heat-kernel products run through the BLAS pool
     cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
                     "manifold.subdivisions = 3\nspectrum.count = 40\n"
                     "embed.map = H\nembed.delta = 0.4\nembed.levels = 4\n")
@@ -1306,11 +1306,13 @@ def test_shipped_configs_run(tmp_path):
                  "--out", str(tmp_path / "embed")]) == 0
 
 
-# A map whose scale leaves the doubles sends every near pair to one image:
-# the run writes its outputs and fails the check, band keys or not.
+# A map whose scale leaves the doubles sends every near pair to one image,
+# or (G at the smallest t) to images apart by subnormal amounts only: the
+# run writes its outputs and fails the check, band keys or not.  H has no
+# subnormal case: its images meet exactly once t is below about 1e-219.
 @pytest.mark.parametrize("kind, t", [("H", "1e300"), ("H", "5e-324"),
                                      ("G", "1e300"), ("F", "1e300"),
-                                     ("F", "5e-324")])
+                                     ("F", "5e-324"), ("G", "5e-324")])
 def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
     import pathlib
     shipped = (pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -1324,9 +1326,15 @@ def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
     assert main(["embed", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed: ")
-    assert "dil_max = 0.0" in err and f"t = {float(t)!r}" in err
     report = (out / "embed_report.txt").read_text().splitlines()
-    assert "dil_max=0.0" in report
+    if (kind, t) == ("G", "5e-324"):
+        dil_max = next(line for line in report
+                       if line.startswith("dil_max="))[len("dil_max="):]
+        assert 0.0 < float(dil_max) < np.finfo(float).tiny
+        assert f"dil_max = {dil_max} at t = {float(t)!r}" in err
+    else:
+        assert "dil_max = 0.0" in err and f"t = {float(t)!r}" in err
+        assert "dil_max=0.0" in report
     assert (out / "embedding.csv").exists() and (out / "ratios.csv").exists()
 
 

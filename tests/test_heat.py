@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spectral_embed.manifold import Circle, Sphere, make_sphere
-from spectral_embed.spectrum import GeometryBounds, compute_spectrum
+from spectral_embed.spectrum import (GeometryBounds, TruncationError,
+                                     compute_spectrum)
 from spectral_embed.heat import (HeatEvaluator, decay_check, decay_value_bound,
                                  unbounded_decay_time, varadhan_check,
                                  varadhan_time_grid)
@@ -311,6 +312,17 @@ class TestVaradhan:
             varadhan_check(ev, [(np.array([0.0]), np.array([1.0]))],
                            [(0.05, 0.02, 0.01)], bounds=CALIBRATED)
 
+    def test_uncertified_pair_is_named(self, big_ev):
+        pairs = [(np.array([0.0]), np.array([1.0])),
+                 (np.array([1.0]), np.array([1.0]))]
+        with pytest.raises(TruncationError,
+                           match=r"^cannot certify the pair at distance 0 "
+                                 r"down to t=1e-05: tolerance 1e-12 "
+                                 r"unreachable within the bound window$"):
+            varadhan_check(big_ev, pairs, [varadhan_time_grid(1.0),
+                                           varadhan_time_grid(0.0)],
+                           CALIBRATED)
+
     def test_default_grid_scales_with_distance(self):
         g1 = varadhan_time_grid(0.5)
         g2 = varadhan_time_grid(1.0)
@@ -364,3 +376,17 @@ def test_one_pair_evaluation_path(tmp_path, monkeypatch):
         del terms[:], at[:]
         method(p, 0.5, q)
         assert (len(terms), at) == (1, [0.5])
+
+
+def test_uncertified_varadhan_run_names_the_pair(tmp_path, capsys):
+    # a coincident pair gets the fixed grid down to t = 1e-5, which the
+    # default bounds cannot certify from 700 circle modes
+    from spectral_embed.cli import main
+    cfg = tmp_path / "varadhan.cfg"
+    cfg.write_text("manifold.kind = circle\nbounds.r_h = 1.0\n"
+                   "verify.distances = 0.0,1.0\n")
+    assert main(["verify", "varadhan", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: cannot certify the pair at distance 0 down to "
+        "t=1e-05: tolerance 1e-12 unreachable within the bound window\n")

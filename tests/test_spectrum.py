@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from spectral_embed import spectrum
@@ -10,11 +12,11 @@ from spectral_embed.manifold import (Circle, FlatTorus, OperatorPair,
                                      make_sphere, make_torus_mesh,
                                      assemble_laplacian)
 from spectral_embed.spectrum import (
-    GeometryBounds, TruncationError, compute_spectrum, eigen_growth_check,
-    eigenfunction_sup_bounds, truncation_index, default_faber_krahn,
-    default_trace_constant)
-from spectral_embed.spectrum import (_canonical_basis, _multiplets, _tail_terms,
-                                     _upper_gamma)
+    EigensolverError, GeometryBounds, TruncationError, compute_spectrum,
+    eigen_growth_check, eigenfunction_sup_bounds, truncation_index,
+    default_faber_krahn, default_trace_constant)
+from spectral_embed.spectrum import (_band_shift_invert, _canonical_basis,
+                                     _multiplets, _tail_terms, _upper_gamma)
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -176,6 +178,82 @@ class TestEigenspaceBasis:
         for col in spec.vectors.T:
             idx = np.nonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0][0]
             assert col[idx] > 0
+
+
+def _standard_form(mesh):
+    """D K D with D = M^(-1/2), its shift and D, as compute_spectrum forms
+    them."""
+    ops = assemble_laplacian(mesh)
+    masses = ops.mass.diagonal()
+    d = sparse.diags(1.0 / np.sqrt(masses))
+    sigma = -1e-2 * ops.stiffness.diagonal().mean() / masses.mean()
+    return d @ ops.stiffness @ d, sigma, d
+
+
+def _superlu(a, sigma):
+    """SuperLU of a - sigma I, the default shift-invert factor of eigsh."""
+    return spla.splu((a - sigma * sparse.identity(a.shape[0])).tocsc())
+
+
+class TestBandShiftInvert:
+    @pytest.mark.parametrize("mesh", [
+        ICOSPHERE3, make_torus_mesh((2 * np.pi, np.pi), (24, 20))],
+        ids=["icosphere3", "grid_torus_24x20"])
+    def test_solve_matches_superlu(self, mesh):
+        a, sigma, _ = _standard_form(mesh)
+        op, lu = _band_shift_invert(a, sigma), _superlu(a, sigma)
+        for x in np.random.default_rng(3).standard_normal((4, a.shape[0])):
+            ref = lu.solve(x)
+            err = np.abs(op.matvec(x) - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max()
+
+    def test_spectrum_matches_default_operator(self):
+        mesh = make_sphere(1.0, 4)
+        a, sigma, d = _standard_form(mesh)
+        lams, vecs = spla.eigsh(a, k=64, sigma=sigma, which="LM",
+                                v0=np.ones(a.shape[0]), tol=0)
+        lams[0] = 0.0  # zeroed by compute_spectrum as well
+        lams, vecs = _canonical_basis(lams, d @ vecs, mesh.masses)
+        spec = compute_spectrum(mesh, 64)
+        assert spec.eigenvalues[0] == 0.0
+        assert np.abs(spec.eigenvalues[1:] / lams[1:] - 1.0).max() <= 1e-12
+        assert np.abs(spec.vectors - vecs).max() <= 1e-9
+
+    def test_shift_above_first_eigenvalue_fails(self):
+        # lambda_1 = 2 on the unit sphere: a - 3 I is indefinite
+        a, _, _ = _standard_form(ICOSPHERE3)
+        with pytest.raises(EigensolverError, match="not positive definite"):
+            _band_shift_invert(a, 3.0)
+
+    def test_failed_factor_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        from spectral_embed.cli import main
+        monkeypatch.setattr(lapack, "dpbtrf", lambda band: (band, 1))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifold.kind = icosphere\n"
+                       "manifold.subdivisions = 2\nspectrum.count = 10\n")
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: shifted operator is not positive definite "
+            "(dpbtrf info 1)\n")
+
+    def test_band_not_much_larger_than_superlu(self, monkeypatch):
+        # the band replaces SuperLU at every size; reverse Cuthill-McKee
+        # keeps its (w + 1) n entries near the fill of SuperLU's L + U
+        # (1.66M against 1.35M on icosphere-5)
+        shapes, dpbtrf = [], lapack.dpbtrf
+
+        def recorded(band):
+            shapes.append(band.shape)
+            return dpbtrf(band)
+
+        monkeypatch.setattr(lapack, "dpbtrf", recorded)
+        a, sigma, _ = _standard_form(make_sphere(1.0, 5))
+        _band_shift_invert(a, sigma)
+        lu = _superlu(a, sigma)
+        [(rows, n)] = shapes
+        assert n == a.shape[0]
+        assert rows * n <= 1.5 * (lu.L.nnz + lu.U.nnz)
 
 
 class TestGrowthCheck:
