@@ -206,7 +206,16 @@ def image_distance(emap, fx, fy):
     diff = fx - fy
     if emap.norm == "max":
         return np.abs(diff).max(axis=-1)
-    return np.linalg.norm(diff, axis=-1)
+    dist = np.linalg.norm(diff, axis=-1)
+    # norm squares the entries, so differences below about 1.5e-154 may
+    # vanish: those rows again as m |diff / m|, m the largest entry
+    low = dist < 1e-150
+    if low.any():
+        small = diff[low]
+        m = np.abs(small).max(axis=-1, keepdims=True)
+        scaled = np.divide(small, m, out=np.zeros_like(small), where=m > 0)
+        dist[low] = m[:, 0] * np.linalg.norm(scaled, axis=-1)
+    return dist
 
 
 # ---------------------------------------------------------------------------

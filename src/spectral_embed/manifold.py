@@ -13,6 +13,10 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 
 
+# faces per block of the area pass: its columns stay a few hundred KiB
+_AREA_BLOCK = 1 << 14
+
+
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (non-closed, degenerate, ...)."""
 
@@ -71,7 +75,8 @@ class TriMesh:
         self._half_edge_order = self._build_edge_table()
 
         # per column: an axis-0 reduction over (V, 3) rows is far slower
-        bbox = np.array([np.ptp(x) for x in self.vertices.T])
+        columns = np.ascontiguousarray(self.vertices.T)
+        bbox = np.array([np.ptp(x) for x in columns])
         if self.period is not None:
             bbox = np.maximum(bbox, self.period)
         with np.errstate(over="ignore"):
@@ -79,19 +84,11 @@ class TriMesh:
         if not 0 < diag2 < np.inf:  # areas are compared with it below
             raise MeshError(f"degenerate bounding box: squared diagonal "
                             f"{diag2!r} is zero or not finite")
-        # |e1 x e2| / 2 per component, as np.cross forms the products and
-        # norm(axis=1) sums their squares, without their (F, 3) slow paths
-        (ax, ay, az), (bx, by, bz) = (e.T for e in self.corner_vectors())
-        nx = ay * bz
-        nx -= az * by
-        ny = az * bx
-        ny -= ax * bz
-        nz = ax * by
-        nz -= ay * bx
-        nx *= nx
-        nx += np.square(ny, out=ny)
-        nx += np.square(nz, out=nz)
-        self.face_areas = 0.5 * np.sqrt(nx, out=nx)
+        self.face_areas = np.empty(len(self.faces))
+        for start in range(0, len(self.faces), _AREA_BLOCK):
+            block = slice(start, start + _AREA_BLOCK)
+            self.face_areas[block] = self._block_areas(columns, block)
+        del columns
         bad = np.nonzero(self.face_areas < 1e-12 * diag2)[0]
         if bad.size:
             raise MeshError(f"degenerate (zero-area) triangle at face {bad[0]}")
@@ -120,18 +117,43 @@ class TriMesh:
         """Edge vectors (x1-x0, x2-x0) per face, period-aware.
 
         `faces` is an index array that picks a subset of the faces (all
-        faces by default).
+        faces by default).  Each row depends only on its own face, so a
+        subset gives the rows of the full result bit for bit.  Computed on
+        demand, as face gradients are: a mesh keeps its vertices, faces,
+        face areas, lumped masses and half-edge order, and no other
+        per-face array.
         """
-        e1, e2 = self._corners
-        return (e1, e2) if faces is None else (e1[faces], e2[faces])
-
-    @functools.cached_property
-    def _corners(self):
+        f0, f1, f2 = (self.faces if faces is None else self.faces[faces]).T
         # np.take copies whole rows; V[F[:, k]] is several times slower
-        f0, f1, f2 = self.faces.T
         x0 = np.take(self.vertices, f0, axis=0)
         return (self.wrap(np.take(self.vertices, f1, axis=0) - x0),
                 self.wrap(np.take(self.vertices, f2, axis=0) - x0))
+
+    def _block_areas(self, columns, block):
+        """|e1 x e2| / 2 of the faces in `block` from the (3, V) vertex
+        columns: the products np.cross forms, their squares summed in the
+        order of norm(axis=1), one corner-vector component at a time."""
+        f0, f1, f2 = self.faces[block].T
+        periods = np.zeros(3) if self.period is None else self.period
+        a, b = [], []
+        for x, per in zip(columns, periods, strict=True):
+            x0 = x[f0]
+            for e, fk in ((a, f1), (b, f2)):
+                d = x[fk] - x0
+                if per > 0:  # the minimal image, as wrap() takes it
+                    d -= per * np.round(d / per)
+                e.append(d)
+        (ax, ay, az), (bx, by, bz) = a, b
+        nx = ay * bz
+        nx -= az * by
+        ny = az * bx
+        ny -= ax * bz
+        nz = ax * by
+        nz -= ay * bx
+        nx *= nx
+        nx += np.square(ny, out=ny)
+        nx += np.square(nz, out=nz)
+        return 0.5 * np.sqrt(nx, out=nx)
 
     def _build_edge_table(self):
         """Check that the mesh is closed, oriented and connected; return the
@@ -143,18 +165,18 @@ class TriMesh:
         directed edges side by side and, on a closed oriented mesh, the two
         halves of each edge in one row, the lower index first.
         """
-        f, nv = self.faces.T, len(self.vertices)
-        tail = np.concatenate([f[1], f[2], f[0]])
-        head = np.concatenate([f[2], f[0], f[1]])
-        lo = np.minimum(tail, head)
-        up = tail < head
-        hi = np.maximum(tail, head, out=head)
-        del tail
-        key = lo * nv
-        key += hi
-        key <<= 1
-        key += up
-        del up
+        f, nv, nf = self.faces.T, len(self.vertices), len(self.faces)
+        # key 2 (lo nv + hi) + (tail < head) of each directed edge, written
+        # corner by corner into one array
+        key = np.empty(3 * nf, dtype=np.int64)
+        for c in range(3):
+            tail, head = f[(c + 1) % 3], f[(c + 2) % 3]
+            part = np.minimum(tail, head, out=key[c * nf:(c + 1) * nf])
+            part *= nv
+            part += np.maximum(tail, head)
+            part <<= 1
+            part += tail < head
+        del tail, head, part
         order = np.argsort(key, kind="stable")
         key = key[order]
 
@@ -168,20 +190,22 @@ class TriMesh:
             raise MeshError(
                 f"non-closed mesh: directed edge {smallest(key[1:][same])} "
                 "repeated (inconsistent orientation or non-manifold edge)")
+        del same
         # no repeats: closed iff keys pair up as 2e (j->i) then 2e + 1 (i->j)
         if not np.array_equal(key[0::2] | 1, key[1::2]):
             starts = np.diff(key >> 1, prepend=-1, append=-1) != 0
             raise MeshError("non-closed mesh: boundary edge "
                             + smallest(key[starts[:-1] & starts[1:]]))
+        i = key[1::2] >> 1  # i nv + j of the i->j halves
         del key
-        second = order[1::2]  # the i->j halves
-        i, j = lo[second], hi[second]
-        del lo, hi
+        i, j = np.divmod(i, nv, out=(i, np.empty_like(i)))
         # the edges are sorted by (i, j): row counts give the CSR row starts
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(i, minlength=nv), out=indptr[1:])
+        del i
         graph = sparse.csr_matrix((np.ones(len(j)), j, indptr),
                                   shape=(nv, nv))
+        del j
         components = csgraph.connected_components(graph, directed=False)[0]
         if components > 1:
             raise MeshError(f"disconnected mesh: {components} components")
@@ -267,14 +291,16 @@ class TriMesh:
         """Per-vertex orthonormal tangent pairs from the one-ring LSQ plane.
 
         Returns an (V, 2, 3) array; rows span the least-squares tangent
-        plane of the one-ring neighborhood.
+        plane of the one-ring neighborhood.  On a flat periodic mesh it is
+        a read-only view of one frame.
         """
         if self._frames is not None:
             return self._frames
         v = len(self.vertices)
         if self.period is not None and np.ptp(self.vertices[:, 2]) == 0.0:
-            # flat periodic mesh in the plane: the frame is the plane itself
-            self._frames = np.tile(np.eye(2, 3), (v, 1, 1))
+            # flat periodic mesh in the plane: the frame is the plane itself,
+            # one read-only (2, 3) block seen from every vertex
+            self._frames = np.broadcast_to(np.eye(2, 3), (v, 2, 3))
             return self._frames
         e = self.edges()
         rows = np.concatenate([e[:, 0], e[:, 1]])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,15 +169,10 @@ class TestHolderSeminorm:
         with pytest.raises(ValueError):
             holder_seminorm([1.0, 2.0, 3.0], np.zeros((3, 2)), 0.5)
 
-    def test_bump_profile_memory(self):
+    def test_bump_profile_memory(self, traced_peak):
         xs = np.linspace(-8.0, 8.0, 2001)
         ref = mollifier(xs / 2.0)
-        tracemalloc.start()
-        try:
-            value = holder_seminorm(ref, xs[:, None], 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_peak(holder_seminorm, ref, xs[:, None], 0.5)
         assert value == dense_holder_seminorm(ref, xs[:, None], 0.5)
         assert peak <= 16 * 2 ** 20
 

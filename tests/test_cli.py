@@ -1306,22 +1306,25 @@ def test_shipped_configs_run(tmp_path):
                  "--out", str(tmp_path / "embed")]) == 0
 
 
-# A map whose scale leaves the doubles sends every near pair to one image,
-# or (G at the smallest t) to images apart by subnormal amounts only: the
-# run writes its outputs and fails the check, band keys or not.  H has no
-# subnormal case: its images meet exactly once t is below about 1e-219.
-@pytest.mark.parametrize("kind, t", [("H", "1e300"), ("H", "5e-324"),
-                                     ("G", "1e300"), ("F", "1e300"),
-                                     ("F", "5e-324"), ("G", "5e-324")])
-def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
+def _unbanded_circle_cfg(tmp_path, kind, t):
+    """The shipped circle config without its band keys, for `kind` at t."""
     import pathlib
     shipped = (pathlib.Path(__file__).resolve().parent.parent / "configs"
                / "circle_h.cfg").read_text()
     text = "".join(line for line in shipped.splitlines(keepends=True)
                    if not line.startswith("embed.band_"))
-    cfg = write_cfg(tmp_path, text.replace("embed.map = H",
-                                           f"embed.map = {kind}")
-                    + f"embed.t = {t}\n")
+    return write_cfg(tmp_path, text.replace("embed.map = H",
+                                            f"embed.map = {kind}")
+                     + f"embed.t = {t}\n")
+
+
+# A map whose scale leaves the doubles sends every near pair to one image,
+# or (G at the smallest t) to images apart by subnormal amounts only: the
+# run writes its outputs and fails the check, band keys or not.
+@pytest.mark.parametrize("kind, t", [("H", "1e300"), ("G", "1e300"),
+                                     ("F", "1e300"), ("G", "5e-324")])
+def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
+    cfg = _unbanded_circle_cfg(tmp_path, kind, t)
     out = tmp_path / "out"
     assert main(["embed", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -1336,6 +1339,29 @@ def test_collapsed_map_fails_the_run(tmp_path, capsys, kind, t):
         assert "dil_max = 0.0" in err and f"t = {float(t)!r}" in err
         assert "dil_max=0.0" in report
     assert (out / "embedding.csv").exists() and (out / "ratios.csv").exists()
+
+
+# H and F keep a scale of about 1e-242 at the smallest t, so their images
+# differ by normal doubles whose squares underflow.  Below t = 1e-200 every
+# e^(-lambda t) is 1: the dilatation is the map scale times a fixed ratio.
+@pytest.mark.parametrize("kind", ["H", "F"])
+def test_map_below_the_squared_range_is_measured(tmp_path, kind):
+    from spectral_embed.embed import map_scale
+    reports = {}
+    for t in ("1e-216", "5e-324"):
+        (tmp_path / t).mkdir()
+        cfg = _unbanded_circle_cfg(tmp_path / t, kind, t)
+        out = tmp_path / t / "out"
+        assert main(["embed", "--config", cfg, "--out", str(out)]) == 0
+        reports[t] = dict(line.split("=", 1) for line in (
+            out / "embed_report.txt").read_text().splitlines())
+    for report in reports.values():
+        assert 0 < float(report["dil_min"]) <= float(report["dil_max"])
+        assert float(report["inj_margin"]) > 0
+    ratio = (float(reports["5e-324"]["dil_max"])
+             / float(reports["1e-216"]["dil_max"]))
+    scales = map_scale(kind, 1, 5e-324) / map_scale(kind, 1, 1e-216)
+    assert ratio == pytest.approx(scales, rel=1e-12)
 
 
 # The fuzzed CLI runs in children forked from one server process that has

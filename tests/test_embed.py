@@ -242,6 +242,27 @@ class TestDilatation:
         ratios = image_distance(emap, fx, fy) / ds
         assert np.allclose(ratios, 1.0, atol=1e-14)
 
+    def test_image_distance_below_the_squared_range(self, circle_ev,
+                                                    fine_net):
+        emap = make_map("H", evaluator=circle_ev, net=fine_net, t=0.1)
+        rng = np.random.default_rng(4)
+        fx, fy = (rng.normal(size=(50, 7)) * 10.0 ** rng.uniform(
+            -140, 140, (50, 1)) for _ in range(2))
+        # differences whose squares underflow: scaled by 2^-700 exactly
+        tiny = rng.normal(size=7)
+        fx[:3], fy[:3] = [1e-160, 1e-160, 0, 0, 0, 0, 0], 0.0
+        fx[3] = fy[3]
+        fx[4], fy[4] = tiny * 2.0 ** -700, 0.0
+        got = image_distance(emap, fx, fy)
+        assert got[0] == pytest.approx(math.sqrt(2) * 1e-160, rel=1e-15)
+        assert got[3] == 0.0
+        assert got[4] == pytest.approx(np.linalg.norm(tiny) * 2.0 ** -700,
+                                       rel=1e-15)
+        plain = np.linalg.norm(fx - fy, axis=-1)
+        normal = plain >= 1e-150
+        assert normal.sum() == 45
+        assert got[normal].tobytes() == plain[normal].tobytes()
+
     def test_no_pairs_error(self, fine_net):
         k = make_map("kuratowski", manifold=CIRCLE, net=fine_net)
         with pytest.raises(ValueError):

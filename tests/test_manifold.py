@@ -271,6 +271,13 @@ class TestFaceSubsets:
             assert np.array_equal(mesh.face_gradients(values, faces),
                                   full[faces])
 
+    def test_corner_vectors(self, mesh):
+        faces = np.random.default_rng(3).choice(len(mesh.faces), 40,
+                                                replace=False)
+        for got, full in zip(mesh.corner_vectors(faces),
+                             mesh.corner_vectors()):
+            assert got.tobytes() == full[faces].tobytes()
+
     def test_stiffness_rows_of_the_star(self, mesh):
         interior = np.nonzero(mesh.graph_distance_from(0) < 0.5)[0]
         star = np.nonzero(np.any(np.isin(mesh.faces, interior), axis=1))[0]
@@ -466,6 +473,45 @@ class TestPerColumnBuild:
             with pytest.raises(MeshError, match=(
                     f"^disconnected mesh: {count} components$")):
                 TriMesh(vertices, faces)
+
+
+class TestLeanBuild:
+    """A mesh keeps its vertices, faces, face areas, lumped masses and
+    half-edge order; corners and face gradients are computed on demand."""
+
+    def test_build_peak_memory(self, traced_peak):
+        # 4.5 face arrays: the inputs and the sort's three key arrays; a
+        # kept corner pair or full-length area columns would pass 5
+        mesh, peak = traced_peak(make_torus_mesh, (2 * np.pi, 2 * np.pi),
+                                 (192, 192))
+        assert peak <= 5 * mesh.faces.nbytes
+
+    def test_no_per_face_float_array_is_kept(self):
+        mesh = make_torus_mesh((2 * np.pi, 3.0), (12, 10))
+        mesh.corner_vectors()
+        mesh.face_gradients(np.arange(len(mesh.vertices), dtype=float))
+        assemble_laplacian(mesh)
+        kept = [a for v in vars(mesh).values()
+                for a in (v if isinstance(v, tuple) else (v,))]
+        assert not [a for a in kept if isinstance(a, np.ndarray)
+                    and a.dtype.kind == "f" and a.shape == mesh.faces.shape]
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_torus_mesh((2 * np.pi, 2 * np.pi), (192, 192)),
+        lambda: make_sphere(1.0, 5)], ids=["grid192", "icosphere5"])
+    def test_areas_across_blocks(self, build):
+        mesh = build()
+        assert len(mesh.faces) > manifold._AREA_BLOCK
+        assert len(mesh.faces) % manifold._AREA_BLOCK
+        _, _, areas, *_ = _build_reference(mesh)
+        assert mesh.face_areas.tobytes() == areas.tobytes()
+
+    def test_flat_frames_are_one_read_only_frame(self):
+        mesh = make_torus_mesh((2 * np.pi, 3.0), (12, 10))
+        frames = mesh.tangent_frames()
+        assert frames.shape == (len(mesh.vertices), 2, 3)
+        assert not frames.flags.writeable and frames.strides[0] == 0
+        assert np.array_equal(mesh.tangent_frame(7), np.eye(2, 3))
 
 
 @pytest.mark.parametrize("torus", [

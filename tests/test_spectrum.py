@@ -87,6 +87,16 @@ class TestComputeSpectrum:
                                  axis=1).max() for k in range(spec.count)]
         assert np.array_equal(spec.grad_sup_norms(), single)
 
+    def test_flat_frames_give_the_tiled_vertex_gradients(self):
+        # the read-only frame view projects as the (V, 2, 3) copy did
+        mesh = make_torus_mesh((2 * np.pi, 3.0), (24, 20))
+        vectors = np.random.default_rng(2).normal(size=(len(mesh.vertices),
+                                                        9))
+        got = spectrum._VertexBasis(mesh, vectors)._vertex_gradients
+        mesh._frames = np.tile(np.eye(2, 3), (len(mesh.vertices), 1, 1))
+        want = spectrum._VertexBasis(mesh, vectors)._vertex_gradients
+        assert got.tobytes() == want.tobytes()
+
     def test_constant_mode(self, sphere_mesh_spec):
         phi0 = sphere_mesh_spec.vectors[:, 0]
         assert np.allclose(np.abs(phi0),
