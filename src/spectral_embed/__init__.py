@@ -4,10 +4,14 @@ closed manifolds, with the quantitative bounds that control them."""
 import os
 
 # SPECTRAL_EMBED_THREADS caps the BLAS pools, which are sized when numpy
-# loads: set the variables before any submodule imports numpy
-if os.environ.get("SPECTRAL_EMBED_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["SPECTRAL_EMBED_THREADS"])
+# loads: set the variables before any submodule imports numpy.  With no
+# variable set the pools run one thread, so outputs do not depend on the
+# host's core count
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_threads = os.environ.get("SPECTRAL_EMBED_THREADS")
+if _threads or not any(os.environ.get(v) for v in _BLAS_VARS):
+    for _var in _BLAS_VARS:
+        os.environ.setdefault(_var, _threads or "1")
 
 from .manifold import (TriMesh, Circle, Sphere, FlatTorus, OperatorPair,
                        load_mesh, make_sphere, make_torus_mesh,

@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     pass
 
 
+class CheckFailed(Exception):
+    """A run's hard check did not pass; its outputs and report are written,
+    and the message names the report and the quantity that failed."""
+
+
 class Given(str):
     """A default that is not one fixed value: the text says what it is."""
 
@@ -318,7 +323,6 @@ def cmd_spectrum(cfg, outdir, seed, scan):
         "lambda_max": float(spec.eigenvalues[-1]),
         "volume": spec.volume,
     })
-    return True
 
 
 def cmd_constants(cfg, outdir, seed, scan):
@@ -352,7 +356,6 @@ def cmd_constants(cfg, outdir, seed, scan):
     _write_summary(outdir, "constants_report.txt", cfg, {
         "rows": len(rows), "cond_dist_satisfied": sum(r[8] for r in rows),
         "cond_harm_satisfied": sum(r[9] for r in rows)})
-    return True
 
 
 def cmd_charts(cfg, outdir, seed, scan):
@@ -391,7 +394,10 @@ def cmd_charts(cfg, outdir, seed, scan):
         entries[f"sweep_sup_q{label}"] = s
         entries[f"sweep_grad_q{label}"] = g
     _write_summary(outdir, "charts_report.txt", cfg, entries)
-    return ratios_ok and slope_ok
+    failed = [f"{key}=0" for key in ("ratios_ok", "slope_ok")
+              if not entries[key]]
+    if failed:
+        raise CheckFailed(f"charts_report.txt has {' and '.join(failed)}")
 
 
 def _embedding_setup(cfg):
@@ -471,9 +477,15 @@ def cmd_embed(cfg, outdir, seed, scan, band=(None, ...)):
             f"the map collapsed: dil_max = {rep.dil_max!r} at t = {t!r}")
 
     lo = cfg.value("embed.band_lo", band[0])
-    return lo is None or (rep.dil_min >= lo
-                          and rep.dil_max <= cfg.value("embed.band_hi",
-                                                       band[1]))
+    if lo is None:
+        return
+    if not rep.dil_min >= lo:
+        raise CheckFailed(f"embed_report.txt has dil_min="
+                          f"{reporting.fmt(rep.dil_min)} below band_lo={lo!r}")
+    hi = cfg.value("embed.band_hi", band[1])
+    if not rep.dil_max <= hi:
+        raise CheckFailed(f"embed_report.txt has dil_max="
+                          f"{reporting.fmt(rep.dil_max)} above band_hi={hi!r}")
 
 
 # -- verify targets ---------------------------------------------------------
@@ -503,12 +515,15 @@ def verify_varadhan(cfg, outdir, seed):
     ok = rep.max_rel_error() <= tol
     _write_summary(outdir, "varadhan_report.txt", cfg, {
         "max_rel_error": rep.max_rel_error(), "tolerance": tol, "pass": ok})
-    return ok
+    if not ok:
+        raise CheckFailed(
+            f"varadhan_report.txt has pass=0: max_rel_error="
+            f"{reporting.fmt(rep.max_rel_error())} above tolerance={tol!r}")
 
 
 def verify_isometry(cfg, outdir, seed):
     # near-isometry is a hard check here: default band [0.85, 1.15]
-    return cmd_embed(cfg, outdir, seed, scan=True, band=(0.85, 1.15))
+    cmd_embed(cfg, outdir, seed, scan=True, band=(0.85, 1.15))
 
 
 def verify_injectivity(cfg, outdir, seed):
@@ -522,7 +537,9 @@ def verify_injectivity(cfg, outdir, seed):
     _write_summary(outdir, "injectivity_report.txt", cfg, {
         "inj_margin": inj["margin"], "far_pairs": inj["pairs"],
         "h_far": h_far, "t": t, "pass": ok})
-    return ok
+    if not ok:
+        raise CheckFailed(f"injectivity_report.txt has pass=0: inj_margin="
+                          f"{reporting.fmt(inj['margin'])} is not positive")
 
 
 def brute_truncation_index(values, weights, eps):
@@ -548,26 +565,29 @@ def verify_truncation(cfg, outdir, seed):
     samples = cfg.value("verify.samples")
     P = man.sample_points()[:256]
     basis_vals = spec.values(P)
-    ok = True
-    rows = []
+    rows, uncertified, short = [], 0, 0
     for _ in range(samples):
         t = float(rng.uniform(0.3, 2.0))
         eps = float(10.0 ** rng.uniform(-8, -3))
         try:
             n0 = truncation_index(spec, t, eps, bounds)
         except TruncationError:
-            ok = False
+            uncertified += 1
             continue
         brute = brute_truncation_index(
             basis_vals, np.exp(-spec.eigenvalues * t), eps)
         rows.append((t, eps, n0, brute))
-        if n0 < brute:
-            ok = False
+        short += n0 < brute
     reporting.write_csv(os.path.join(outdir, "truncation.csv"),
                         ["t", "eps", "bound_n", "brute_n"], rows)
+    ok = not (uncertified or short)
     _write_summary(outdir, "truncation_report.txt", cfg, {
         "samples": len(rows), "pass": ok})
-    return ok
+    if not ok:
+        raise CheckFailed(
+            f"truncation_report.txt has pass=0: {uncertified} of {samples} "
+            f"samples uncertified (left out of truncation.csv), {short} "
+            f"with bound_n < brute_n")
 
 
 def verify_counterexample(cfg, outdir, seed):
@@ -598,7 +618,11 @@ def verify_counterexample(cfg, outdir, seed):
         "margin_below_gap": m_lo, "margin_with_gap": m_hi,
         "modes_below_gap": below, "modes_with_gap": upto,
         "fiber_separation": sep, "pass": ok})
-    return ok
+    if not ok:
+        raise CheckFailed(
+            f"counterexample_report.txt has pass=0: margin_below_gap="
+            f"{reporting.fmt(m_lo)}, margin_with_gap={reporting.fmt(m_hi)}, "
+            f"fiber_separation={reporting.fmt(sep)}")
 
 
 def verify_decay(cfg, outdir, seed):
@@ -620,7 +644,11 @@ def verify_decay(cfg, outdir, seed):
     ok = rep.all_pass()
     _write_summary(outdir, "decay_report.txt", cfg,
                    dict(rep.constants, pass_flag=ok))
-    return ok
+    if not ok:
+        failed = sum(not r.value_pass or r.grad_flag == "fail"
+                     for r in rep.rows)
+        raise CheckFailed(f"decay_report.txt has pass_flag=0: {failed} of "
+                          f"{len(rep.rows)} (pair, t) rows fail a bound")
 
 
 def verify_growth(cfg, outdir, seed):
@@ -637,9 +665,12 @@ def verify_growth(cfg, outdir, seed):
     reporting.write_csv(os.path.join(outdir, "growth.csv"),
                         ["k", "lambda", "bound", "applicable", "flag"], rows)
     ok = rep.all_pass()
+    summary = rep.summary()
     _write_summary(outdir, "growth_report.txt", cfg,
-                   dict(rep.summary(), pass_flag=ok))
-    return ok
+                   dict(summary, pass_flag=ok))
+    if not ok:
+        raise CheckFailed(f"growth_report.txt has pass_flag=0: "
+                          f"growth_failures={summary['growth_failures']}")
 
 
 VERIFY_TARGETS = {
@@ -696,7 +727,12 @@ def main(argv=None):
         else:
             raise ConfigError(f"unknown subcommand {args.subcommand!r}; "
                               f"expected one of {sorted(COMMANDS)} or verify")
-        ok = run(cfg, outdir, seed)  # each writer makes its directory
+        run(cfg, outdir, seed)  # each writer makes its directory
+    except CheckFailed as exc:
+        name = ("verify " + args.target if args.subcommand == "verify"
+                else args.subcommand)
+        print(f"check failed: {name}: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -712,7 +748,7 @@ def main(argv=None):
             charts_mod.StabilityError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ class TriMesh:
         self.reference = reference
         self.dim = 2
         self._frames = None
-        self._half_edge_order = self._build_edge_table()
+        self._build_edge_table()
 
         # per column: an axis-0 reduction over (V, 3) rows is far slower
         columns = np.ascontiguousarray(self.vertices.T)
@@ -120,8 +120,7 @@ class TriMesh:
         faces by default).  Each row depends only on its own face, so a
         subset gives the rows of the full result bit for bit.  Computed on
         demand, as face gradients are: a mesh keeps its vertices, faces,
-        face areas, lumped masses and half-edge order, and no other
-        per-face array.
+        face areas and lumped masses, and no other per-face array.
         """
         f0, f1, f2 = (self.faces if faces is None else self.faces[faces]).T
         # np.take copies whole rows; V[F[:, k]] is several times slower
@@ -155,19 +154,17 @@ class TriMesh:
         nx += np.square(nz, out=nz)
         return 0.5 * np.sqrt(nx, out=nx)
 
-    def _build_edge_table(self):
-        """Check that the mesh is closed, oriented and connected; return the
-        half-edges in edge order, the two halves of each edge side by side,
-        from which `_edge_table` builds the edges when they are first read.
+    def _edge_keys(self):
+        """The key of each half-edge, indexed by half-edge.
 
         Half-edge ``c*F + i`` is the directed edge opposite corner c of face
-        i.  One stable sort by undirected key, then direction, puts repeated
-        directed edges side by side and, on a closed oriented mesh, the two
-        halves of each edge in one row, the lower index first.
+        i; its key is 2 (lo nv + hi) + (tail < head).  Sorted stably, the
+        keys put repeated directed edges side by side and, on a closed
+        oriented mesh, the two halves of each edge in one row, the lower
+        index first.
         """
         f, nv, nf = self.faces.T, len(self.vertices), len(self.faces)
-        # key 2 (lo nv + hi) + (tail < head) of each directed edge, written
-        # corner by corner into one array
+        # written corner by corner into one array
         key = np.empty(3 * nf, dtype=np.int64)
         for c in range(3):
             tail, head = f[(c + 1) % 3], f[(c + 2) % 3]
@@ -176,9 +173,18 @@ class TriMesh:
             part += np.maximum(tail, head)
             part <<= 1
             part += tail < head
-        del tail, head, part
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        return key
+
+    def _build_edge_table(self):
+        """Check that the mesh is closed, oriented and connected.
+
+        Only the sorted key values are needed, so the keys are sorted in
+        place and nothing is kept: `_edge_table` derives the half-edge
+        order when adjacency is first read.
+        """
+        nv = len(self.vertices)
+        key = self._edge_keys()
+        key.sort(kind="stable")
 
         def smallest(keys):  # the smallest directed edge among sorted keys
             lo, hi = np.divmod(keys >> 1, nv)
@@ -209,14 +215,12 @@ class TriMesh:
         components = csgraph.connected_components(graph, directed=False)[0]
         if components > 1:
             raise MeshError(f"disconnected mesh: {components} components")
-        return order
 
     @functools.cached_property
     def _edge_table(self):
         """The (E, 2) edges (i < j, sorted) and the (E, 2) half-edges of
         each, lower first."""
-        order = self._half_edge_order
-        del self._half_edge_order
+        order = np.argsort(self._edge_keys(), kind="stable")
         first, second = order[0::2], order[1::2]  # the j->i, i->j halves
         # half-edge c*F + f runs from corner c + 1 to corner c + 2 of face f
         corner, face = np.divmod(second, len(self.faces))

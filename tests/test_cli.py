@@ -741,6 +741,32 @@ class TestSubcommands:
         assert [line for line in report.splitlines() if "band" in line] == [
             "config_embed_band_lo=0.999"]
 
+    def test_failed_check_names_the_run_and_report(self, tmp_path, capsys):
+        # 4 of the 20 samples get no certified truncation index: they are
+        # left out of truncation.csv, and stderr counts them
+        cfg = write_cfg(tmp_path, "manifold.kind = sphere\n"
+                        "spectrum.count = 225\nbounds.r_h = 1.0\n"
+                        "bounds.iota = 3.141592653589793\n")
+        out = tmp_path / "out"
+        assert main(["verify", "truncation", "--config", cfg,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: verify truncation: truncation_report.txt has "
+            "pass=0: 4 of 20 samples uncertified (left out of "
+            "truncation.csv), 0 with bound_n < brute_n\n")
+        assert (out / "truncation_report.txt").read_text().startswith(
+            "samples=16\npass=0\n")
+
+    def test_failed_band_names_the_quantity(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CIRCLE_CFG + "embed.band_lo = 1.5\n"
+                        "embed.band_hi = 2.0\n")
+        assert main(["embed", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: embed: embed_report.txt has "
+                              "dil_min=")
+        assert err.endswith(" below band_lo=1.5\n")
+
     def test_reports_embed_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -1088,14 +1114,43 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def cli_env(**overrides):
-    """The environment of a CLI subprocess on this checkout's sources."""
+    """The environment of a CLI subprocess on this checkout's sources;
+    ``NAME=value`` sets a variable and ``NAME=None`` unsets it."""
     env = dict(os.environ)
     env.pop("SPECTRAL_EMBED_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    env.update(overrides)
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return env
+
+
+# runs the CLI on its arguments, then prints the process's thread count
+_CLI_SCRIPT = (
+    "import sys\n"
+    "from spectral_embed.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(l for l in fh if l.startswith('Threads:')))\n"
+    "sys.exit(code)\n")
+
+
+def cli_run(argv, out, **overrides):
+    """Run ``spectral-embed argv --out out`` in a subprocess under
+    ``cli_env(**overrides)``; check that it exits 0 and return its output
+    tree (path relative to `out` to bytes) and its final thread count."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SCRIPT, *argv, "--out", str(out)],
+        env=cli_env(**overrides), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tree = {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+    return tree, int(proc.stdout.split()[-1])
 
 
 def test_reports_follow_umask(tmp_path):
@@ -1112,24 +1167,11 @@ def test_reports_follow_umask(tmp_path):
 
 def test_scan_bytes_independent_of_blas_threads(tmp_path):
     # the README promises byte-identical outputs whatever the BLAS pool size
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    env.pop("SPECTRAL_EMBED_THREADS", None)
-    trees = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "spectral_embed.cli", "embed", "--scan",
-             "--config", os.path.join(root, "configs", "circle_h.cfg"),
-             "--out", str(out)],
-            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
-            text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        trees.append({str(p.relative_to(out)): p.read_bytes()
-                      for p in sorted(out.rglob("*")) if p.is_file()})
+    trees = [cli_run(["embed", "--scan", "--config",
+                      os.path.join(ROOT, "configs", "circle_h.cfg")],
+                     tmp_path / f"threads{threads}",
+                     OPENBLAS_NUM_THREADS=threads)[0]
+             for threads in ("1", "2")]
     assert "scan.csv" in trees[0] and "ratios.csv" in trees[0]
     assert trees[0] == trees[1]
 
@@ -1140,17 +1182,10 @@ def test_mesh_scan_bytes_independent_of_blas_threads(tmp_path):
     cfg = write_cfg(tmp_path, "manifold.kind = icosphere\n"
                     "manifold.subdivisions = 3\nspectrum.count = 40\n"
                     "embed.map = H\nembed.delta = 0.4\nembed.levels = 4\n")
-    trees = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "spectral_embed.cli", "embed", "--scan",
-             "--config", cfg, "--out", str(out)],
-            env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
-            text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        trees.append({str(p.relative_to(out)): p.read_bytes()
-                      for p in sorted(out.rglob("*")) if p.is_file()})
+    trees = [cli_run(["embed", "--scan", "--config", cfg],
+                     tmp_path / f"threads{threads}",
+                     OPENBLAS_NUM_THREADS=threads)[0]
+             for threads in ("1", "2")]
     assert {"scan.csv", "embedding.csv", "ratios.csv"} <= set(trees[0])
     assert trees[0] == trees[1]
 
@@ -1162,14 +1197,10 @@ def test_mesh_spectrum_bytes_independent_of_blas_threads(tmp_path):
                     "manifold.subdivisions = 3\nspectrum.count = 40\n")
     trees = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "spectral_embed.cli", "spectrum",
-             "--config", cfg, "--out", str(out)],
-            env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
-            text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        trees.append((out / "spectrum" / "eigenfunctions.npy").read_bytes())
+        tree, _ = cli_run(["spectrum", "--config", cfg],
+                          tmp_path / f"threads{threads}",
+                          OPENBLAS_NUM_THREADS=threads)
+        trees.append(tree["spectrum/eigenfunctions.npy"])
     assert np.load(tmp_path / "threads1" / "spectrum" /
                    "eigenfunctions.npy").shape == (642, 40)
     assert trees[0] == trees[1]
@@ -1270,29 +1301,39 @@ def test_runs_leave_scipy_special_unloaded(tmp_path):
         assert proc.stdout.split() == ["False"]
 
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_thread_cap_applies_before_numpy_loads(tmp_path):
     # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    env["SPECTRAL_EMBED_THREADS"] = "1"
-    script = (
-        "import sys\n"
-        "from spectral_embed.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    print(next(l for l in fh if l.startswith('Threads:')))\n"
-        "sys.exit(code)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "spectrum", "--config",
-         os.path.join(root, "configs", "circle_h.cfg"),
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["Threads:", "1"]
+    _, threads = cli_run(
+        ["spectrum", "--config", os.path.join(ROOT, "configs", "circle_h.cfg")],
+        tmp_path / "out", SPECTRAL_EMBED_THREADS="1",
+        **dict.fromkeys(BLAS_VARS))
+    assert threads == 1
+
+
+def test_blas_defaults_to_one_thread(tmp_path):
+    # with no thread variable set, the pools run one thread
+    _, threads = cli_run(
+        ["spectrum", "--config", os.path.join(ROOT, "configs", "circle_h.cfg")],
+        tmp_path / "out", **dict.fromkeys(BLAS_VARS))
+    assert threads == 1
+
+
+def test_default_threads_give_one_thread_bytes(tmp_path):
+    # a 96^2 grid torus (9,216 vertices) is large enough that a two-thread
+    # BLAS pool moves its eigenfunctions at roundoff
+    cfg = write_cfg(tmp_path, "manifold.kind = grid_torus\n"
+                    "manifold.periods = 6.283185307179586,6.283185307179586\n"
+                    "manifold.divisions = 96,96\nspectrum.count = 37\n")
+    trees = [cli_run(["spectrum", "--config", cfg], tmp_path / name,
+                     **(dict.fromkeys(BLAS_VARS) | threads))[0]
+             for name, threads in (("default", {}),
+                                   ("one", {"OPENBLAS_NUM_THREADS": "1"}))]
+    assert np.load(tmp_path / "one" / "spectrum" /
+                   "eigenfunctions.npy").shape == (96 * 96, 37)
+    assert trees[0] == trees[1]
 
 
 def test_shipped_configs_run(tmp_path):

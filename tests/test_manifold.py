@@ -235,21 +235,30 @@ def test_repeated_corner_is_a_degenerate_triangle():
 
 
 def test_edge_structure_is_derived_once(monkeypatch):
-    builds = []
-    build = TriMesh._build_edge_table
+    builds, sorts = [], []
+    build, argsort = TriMesh._build_edge_table, np.argsort
 
     def counted(self):
         builds.append(self)
         return build(self)
 
+    def counted_argsort(a, *args, **kwargs):
+        sorts.append(len(a))
+        return argsort(a, *args, **kwargs)
+
     monkeypatch.setattr(TriMesh, "_build_edge_table", counted)
+    monkeypatch.setattr(manifold.np, "argsort", counted_argsort)
     mesh = make_sphere(1.0, 2)
+    half_edges = 3 * len(mesh.faces)
+    # validation sorts the keys in place: no half-edge order yet
+    assert half_edges not in sorts
     mesh.edges()
     mesh.edge_adjacency()
     mesh.mean_edge_length()
     mesh.tangent_frames()
     mesh.distance_between([0, 3], [1, 2, 5])
     assert builds == [mesh]
+    assert sorts.count(half_edges) == 1
     assert "np.unique" not in inspect.getsource(manifold)
 
 
@@ -476,15 +485,34 @@ class TestPerColumnBuild:
 
 
 class TestLeanBuild:
-    """A mesh keeps its vertices, faces, face areas, lumped masses and
-    half-edge order; corners and face gradients are computed on demand."""
+    """A mesh keeps its vertices, faces, face areas and lumped masses.
+    Validation sorts the edge keys in place; the half-edge order is derived
+    on the first adjacency read, and corners and face gradients are
+    computed on demand."""
 
     def test_build_peak_memory(self, traced_peak):
-        # 4.5 face arrays: the inputs and the sort's three key arrays; a
-        # kept corner pair or full-length area columns would pass 5
+        # 3.4 face arrays: the inputs (1.5), the keys and the in-place
+        # sort's merge buffer; an argsort of the keys with a gathered copy,
+        # as validation once took, reaches 4.5
         mesh, peak = traced_peak(make_torus_mesh, (2 * np.pi, 2 * np.pi),
                                  (192, 192))
-        assert peak <= 5 * mesh.faces.nbytes
+        assert peak <= 4 * mesh.faces.nbytes
+
+    def test_no_half_edge_array_is_kept(self):
+        mesh = make_sphere(1.0, 3)
+        # the faces themselves are (F, 3); a half-edge array is (3F,)
+        assert not [v for v in vars(mesh).values()
+                    if isinstance(v, np.ndarray) and v.dtype.kind in "iu"
+                    and v.shape == (3 * len(mesh.faces),)]
+
+    def test_adjacency_is_derived_on_first_read(self):
+        mesh = make_sphere(1.0, 2)
+        assert "_edge_table" not in vars(mesh)
+        edges = mesh.edges()
+        table = vars(mesh)["_edge_table"]
+        assert table[0] is edges
+        assert mesh.edge_adjacency()[0] is edges
+        assert mesh.edges() is edges and vars(mesh)["_edge_table"] is table
 
     def test_no_per_face_float_array_is_kept(self):
         mesh = make_torus_mesh((2 * np.pi, 3.0), (12, 10))
