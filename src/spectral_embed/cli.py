@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 class CheckFailed(Exception):
     """A run's hard check did not pass; its outputs and report are written,
-    and the message names the report and the quantity that failed."""
+    and the message names the report and the flag or value that failed."""
 
 
 class Given(str):
@@ -310,6 +310,15 @@ def _write_summary(outdir, name, cfg, entries):
                            {**entries, **cfg.report_entries()})
 
 
+def _write_checked(outdir, name, cfg, entries, *keys, detail=""):
+    """Write the report, then fail the run if one of its flags `keys` is
+    false, naming the report and the flags."""
+    _write_summary(outdir, name, cfg, entries)
+    failed = [f"{key}=0" for key in keys if not entries[key]]
+    if failed:
+        raise CheckFailed(f"{name} has {' and '.join(failed)}{detail}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -393,11 +402,8 @@ def cmd_charts(cfg, outdir, seed, scan):
         label = str(q).replace(".", "p").replace("-", "m").replace("+", "")
         entries[f"sweep_sup_q{label}"] = s
         entries[f"sweep_grad_q{label}"] = g
-    _write_summary(outdir, "charts_report.txt", cfg, entries)
-    failed = [f"{key}=0" for key in ("ratios_ok", "slope_ok")
-              if not entries[key]]
-    if failed:
-        raise CheckFailed(f"charts_report.txt has {' and '.join(failed)}")
+    _write_checked(outdir, "charts_report.txt", cfg, entries,
+                   "ratios_ok", "slope_ok")
 
 
 def _embedding_setup(cfg):
@@ -513,12 +519,9 @@ def verify_varadhan(cfg, outdir, seed):
     export_varadhan(rep, os.path.join(outdir, "varadhan.csv"))
     tol = cfg.value("verify.tolerance")
     ok = rep.max_rel_error() <= tol
-    _write_summary(outdir, "varadhan_report.txt", cfg, {
-        "max_rel_error": rep.max_rel_error(), "tolerance": tol, "pass": ok})
-    if not ok:
-        raise CheckFailed(
-            f"varadhan_report.txt has pass=0: max_rel_error="
-            f"{reporting.fmt(rep.max_rel_error())} above tolerance={tol!r}")
+    _write_checked(outdir, "varadhan_report.txt", cfg, {
+        "max_rel_error": rep.max_rel_error(), "tolerance": tol, "pass": ok},
+        "pass")
 
 
 def verify_isometry(cfg, outdir, seed):
@@ -534,12 +537,9 @@ def verify_injectivity(cfg, outdir, seed):
     h_far = cfg.value("embed.h_far", default_h_far(man))
     inj = injectivity_report(emap, man, h_far, count=pairs, seed=seed)
     ok = inj["margin"] > 0
-    _write_summary(outdir, "injectivity_report.txt", cfg, {
+    _write_checked(outdir, "injectivity_report.txt", cfg, {
         "inj_margin": inj["margin"], "far_pairs": inj["pairs"],
-        "h_far": h_far, "t": t, "pass": ok})
-    if not ok:
-        raise CheckFailed(f"injectivity_report.txt has pass=0: inj_margin="
-                          f"{reporting.fmt(inj['margin'])} is not positive")
+        "h_far": h_far, "t": t, "pass": ok}, "pass")
 
 
 def brute_truncation_index(values, weights, eps):
@@ -580,14 +580,10 @@ def verify_truncation(cfg, outdir, seed):
         short += n0 < brute
     reporting.write_csv(os.path.join(outdir, "truncation.csv"),
                         ["t", "eps", "bound_n", "brute_n"], rows)
-    ok = not (uncertified or short)
-    _write_summary(outdir, "truncation_report.txt", cfg, {
-        "samples": len(rows), "pass": ok})
-    if not ok:
-        raise CheckFailed(
-            f"truncation_report.txt has pass=0: {uncertified} of {samples} "
-            f"samples uncertified (left out of truncation.csv), {short} "
-            f"with bound_n < brute_n")
+    _write_checked(outdir, "truncation_report.txt", cfg, {
+        "samples": len(rows), "pass": not (uncertified or short)}, "pass",
+        detail=f": {uncertified} of {samples} samples uncertified (left out "
+               f"of truncation.csv), {short} with bound_n < brute_n")
 
 
 def verify_counterexample(cfg, outdir, seed):
@@ -614,15 +610,10 @@ def verify_counterexample(cfg, outdir, seed):
     m_lo, m_hi = margins
     sep = float(man.distance(a_pts, b_pts).min())
     ok = (m_lo <= 1e-8) and (m_hi > 1e-3) and sep >= man.periods[1] / 2 - 1e-9
-    _write_summary(outdir, "counterexample_report.txt", cfg, {
+    _write_checked(outdir, "counterexample_report.txt", cfg, {
         "margin_below_gap": m_lo, "margin_with_gap": m_hi,
         "modes_below_gap": below, "modes_with_gap": upto,
-        "fiber_separation": sep, "pass": ok})
-    if not ok:
-        raise CheckFailed(
-            f"counterexample_report.txt has pass=0: margin_below_gap="
-            f"{reporting.fmt(m_lo)}, margin_with_gap={reporting.fmt(m_hi)}, "
-            f"fiber_separation={reporting.fmt(sep)}")
+        "fiber_separation": sep, "pass": ok}, "pass")
 
 
 def verify_decay(cfg, outdir, seed):
@@ -641,14 +632,8 @@ def verify_decay(cfg, outdir, seed):
     rep = decay_check(ev, bounds, pairs, ts, grad_const)
     export_decay(rep, os.path.join(outdir, "decay.csv"),
                  os.path.join(outdir, "decay_gradient.csv"))
-    ok = rep.all_pass()
-    _write_summary(outdir, "decay_report.txt", cfg,
-                   dict(rep.constants, pass_flag=ok))
-    if not ok:
-        failed = sum(not r.value_pass or r.grad_flag == "fail"
-                     for r in rep.rows)
-        raise CheckFailed(f"decay_report.txt has pass_flag=0: {failed} of "
-                          f"{len(rep.rows)} (pair, t) rows fail a bound")
+    _write_checked(outdir, "decay_report.txt", cfg,
+                   dict(rep.constants, pass_flag=rep.all_pass()), "pass_flag")
 
 
 def verify_growth(cfg, outdir, seed):
@@ -664,13 +649,8 @@ def verify_growth(cfg, outdir, seed):
                                        rep.passed)]
     reporting.write_csv(os.path.join(outdir, "growth.csv"),
                         ["k", "lambda", "bound", "applicable", "flag"], rows)
-    ok = rep.all_pass()
-    summary = rep.summary()
-    _write_summary(outdir, "growth_report.txt", cfg,
-                   dict(summary, pass_flag=ok))
-    if not ok:
-        raise CheckFailed(f"growth_report.txt has pass_flag=0: "
-                          f"growth_failures={summary['growth_failures']}")
+    _write_checked(outdir, "growth_report.txt", cfg,
+                   dict(rep.summary(), pass_flag=rep.all_pass()), "pass_flag")
 
 
 VERIFY_TARGETS = {

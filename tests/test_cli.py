@@ -767,6 +767,52 @@ class TestSubcommands:
                               "dil_min=")
         assert err.endswith(" below band_lo=1.5\n")
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["verify", "varadhan"],
+         CIRCLE_CFG + "spectrum.count = 400\nverify.tolerance = 0\n",
+         "varadhan_report.txt has pass=0\n"),
+        (["verify", "injectivity"], CIRCLE_CFG,
+         "injectivity_report.txt has pass=0\n"),
+        # no eigenvalue lies between 49 and 64, so the modes below the gap
+        # and with it are the same
+        (["verify", "counterexample"], "manifold.kind = torus\n"
+         "manifold.periods = 6.283185307179586,0.6283185307179586\n"
+         "spectrum.count = 40\nembed.t = 0.01\nverify.gap = 50.5\n",
+         "counterexample_report.txt has pass=0\n"),
+        (["verify", "decay"], "manifold.kind = circle\nspectrum.count = 120\n"
+         "bounds.r_h = 1.0\nbounds.d = 1e-9\n",
+         "decay_report.txt has pass_flag=0\n"),
+        (["verify", "growth"], CIRCLE_CFG.replace(
+            "bounds.a = 17.07946844534713", "bounds.a = 1000"),
+         "growth_report.txt has pass_flag=0\n"),
+        (["charts"], "charts.nodes = 21,41\ncharts.steps = 32\n"
+         "charts.sweep_nodes = 41\ncharts.sweep_steps = 32\n"
+         "charts.ratio_lo = 1e300\ncharts.slope_lo = 1e300\n",
+         "charts_report.txt has ratios_ok=0 and slope_ok=0\n"),
+        (["embed"], CIRCLE_CFG + "embed.band_lo = 0\nembed.band_hi = 0.5\n",
+         "embed_report.txt has dil_max="),
+        (["verify", "isometry"], CIRCLE_CFG + "spectrum.count = 120\n"
+         "embed.t_max = 0.8\nembed.levels = 5\nembed.band_lo = 0.999\n",
+         "embed_report.txt has dil_min="),
+    ], ids=["varadhan", "injectivity", "counterexample", "decay", "growth",
+            "charts", "embed-band_hi", "isometry-band_lo"])
+    def test_every_failed_check_is_named(self, tmp_path, capsys, monkeypatch,
+                                         argv, text, message):
+        from spectral_embed import cli
+        if argv == ["verify", "injectivity"]:
+            monkeypatch.setattr(cli, "injectivity_report",
+                                lambda *args, **kwargs: {"margin": 0.0,
+                                                         "pairs": 80})
+        cfg = write_cfg(tmp_path, text)
+        assert main(argv + ["--config", cfg,
+                            "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        prefix = f"check failed: {' '.join(argv)}: {message}"
+        if message.endswith("\n"):
+            assert err == prefix
+        else:
+            assert err.startswith(prefix) and err.count("\n") == 1
+
     def test_reports_embed_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         out = str(tmp_path / "out")
@@ -1142,7 +1188,8 @@ _CLI_SCRIPT = (
 def cli_run(argv, out, **overrides):
     """Run ``spectral-embed argv --out out`` in a subprocess under
     ``cli_env(**overrides)``; check that it exits 0 and return its output
-    tree (path relative to `out` to bytes) and its final thread count."""
+    tree (path relative to `out` to bytes) and its stdout, which ends with
+    the process's final ``Threads:`` line."""
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_SCRIPT, *argv, "--out", str(out)],
         env=cli_env(**overrides), capture_output=True, text=True,
@@ -1150,7 +1197,7 @@ def cli_run(argv, out, **overrides):
     assert proc.returncode == 0, proc.stderr
     tree = {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
-    return tree, int(proc.stdout.split()[-1])
+    return tree, proc.stdout
 
 
 def test_reports_follow_umask(tmp_path):
@@ -1305,20 +1352,15 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_thread_cap_applies_before_numpy_loads(tmp_path):
-    # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools
-    _, threads = cli_run(
-        ["spectrum", "--config", os.path.join(ROOT, "configs", "circle_h.cfg")],
-        tmp_path / "out", SPECTRAL_EMBED_THREADS="1",
-        **dict.fromkeys(BLAS_VARS))
-    assert threads == 1
-
-
-def test_blas_defaults_to_one_thread(tmp_path):
-    # with no thread variable set, the pools run one thread
-    _, threads = cli_run(
-        ["spectrum", "--config", os.path.join(ROOT, "configs", "circle_h.cfg")],
-        tmp_path / "out", **dict.fromkeys(BLAS_VARS))
-    assert threads == 1
+    # the README promises that SPECTRAL_EMBED_THREADS caps the BLAS pools,
+    # and that with no thread variable set they run one thread
+    for name, cap in (("cap", {"SPECTRAL_EMBED_THREADS": "1"}),
+                      ("default", {})):
+        _, stdout = cli_run(
+            ["spectrum", "--config",
+             os.path.join(ROOT, "configs", "circle_h.cfg")],
+            tmp_path / name, **(dict.fromkeys(BLAS_VARS) | cap))
+        assert stdout.split() == ["Threads:", "1"], name
 
 
 def test_default_threads_give_one_thread_bytes(tmp_path):

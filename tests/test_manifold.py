@@ -491,9 +491,11 @@ class TestLeanBuild:
     computed on demand."""
 
     def test_build_peak_memory(self, traced_peak):
-        # 3.4 face arrays: the inputs (1.5), the keys and the in-place
-        # sort's merge buffer; an argsort of the keys with a gathered copy,
-        # as validation once took, reaches 4.5
+        # 3.4 face arrays: the inputs (1.5), the CSR graph of the i->j
+        # halves and the copies connected_components makes of it; the
+        # stable sort's merge buffer is allocated outside tracemalloc and
+        # not counted.  An argsort of the keys with a gathered copy, as
+        # validation once took, reaches 4.5
         mesh, peak = traced_peak(make_torus_mesh, (2 * np.pi, 2 * np.pi),
                                  (192, 192))
         assert peak <= 4 * mesh.faces.nbytes
