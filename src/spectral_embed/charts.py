@@ -38,28 +38,30 @@ def mollifier(r):
 HOLDER_BLOCK = 32
 
 
-def holder_seminorm(values, points, alpha):
+def holder_seminorm(values, points, alpha, wrap=None):
     """Max |f(x)-f(x')| / |x-x'|^alpha over sample pairs.
 
-    Rows i0:i0+HOLDER_BLOCK are paired with columns i0: at a time, which
+    `points` has one row per value; `wrap`, when given, maps point
+    differences to the displacements measured (`TriMesh.wrap`).  Rows
+    i0:i0+HOLDER_BLOCK are paired with columns i0: at a time, which
     covers every pair j > i.  |f_i - f_j| and |x_i - x_j| are exact under
     swapping i and j, so the maximum is the one over all ordered pairs.
     """
     values = np.asarray(values, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] != len(values):
-        points = points.T
+    points = np.asarray(points, dtype=float)
     block_max = []
     for i0 in range(0, len(values), HOLDER_BLOCK):
         rows = slice(i0, i0 + HOLDER_BLOCK)
         diff = np.abs(values[rows, None] - values[None, i0:])
+        disp = points[rows, None, :] - points[None, i0:, :]
+        if wrap is not None:
+            disp = wrap(disp)
         if points.shape[1] == 1:
             # norm() of one coordinate is sqrt(fl(d^2)), which is |d| in
             # binary64 unless d^2 under- or overflows (then |d| is exact)
-            dist = np.abs(points[rows, None, 0] - points[None, i0:, 0])
+            dist = np.abs(disp[..., 0])
         else:
-            dist = np.linalg.norm(
-                points[rows, None, :] - points[None, i0:, :], axis=-1)
+            dist = np.linalg.norm(disp, axis=-1)
         mask = dist > 0
         if mask.any():
             block_max.append((diff[mask] / dist[mask] ** alpha).max())
@@ -170,7 +172,7 @@ class GridKernel:
 
     axes: tuple
     times: np.ndarray
-    values: np.ndarray  # (T, N) for n=1, (T, Nx, Ny) for n=2
+    values: np.ndarray  # (T, *grid), one axis per dimension
     source: np.ndarray
     spacing: float
 
@@ -189,46 +191,48 @@ class GridKernel:
 
 
 def _laplacian_operator(spec, axes, h):
-    """Sparse non-divergence operator -a^{ij} d_i d_j on interior nodes."""
+    """Sparse non-divergence operator -a^{ij} d_i d_j on interior nodes: a
+    stencil of index offsets, +-e_k and, for k < l, +-e_k +-e_l, weighted
+    by the coefficients at each node."""
     n = spec.dim
-    if n == 1:
-        x = axes[0][1:-1]
-        m = len(x)
-        a = spec.coeff(x[:, None])[:, 0, 0]
-        main = 2.0 * a / h ** 2
-        off = -a / h ** 2
-        A = sparse.diags([off[1:], main, off[:-1]], [-1, 0, 1], format="csr")
-        return A
-    xs, ys = axes[0][1:-1], axes[1][1:-1]
-    mx, my = len(xs), len(ys)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    a = spec.coeff(pts)
-    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+    shape = tuple(len(ax) - 2 for ax in axes)
+    a = spec.coeff(_grid_points([ax[1:-1] for ax in axes]))
 
-    def shift_matrix(dx, dy):
-        # maps u to u shifted by (dx, dy) grid cells, zero off the interior
-        ex = sparse.eye(mx, format="csr")
-        ey = sparse.eye(my, format="csr")
-        sx = sparse.diags([np.ones(mx - abs(dx))], [dx], shape=(mx, mx))
-        sy = sparse.diags([np.ones(my - abs(dy))], [dy], shape=(my, my))
-        return sparse.kron(sx if dx else ex, sy if dy else ey, format="csr")
+    def step(*moves):
+        # the index offset of one step (k, +-1) along each axis k named
+        return tuple(dict(moves).get(k, 0) for k in range(n))
 
-    D = sparse.diags
-    A = D(2.0 * (a11 + a22) / h ** 2)
-    A = A - D(a11 / h ** 2) @ (shift_matrix(1, 0) + shift_matrix(-1, 0))
-    A = A - D(a22 / h ** 2) @ (shift_matrix(0, 1) + shift_matrix(0, -1))
-    cross = (shift_matrix(1, 1) + shift_matrix(-1, -1)
-             - shift_matrix(1, -1) - shift_matrix(-1, 1))
-    A = A - D(2.0 * a12 / (4.0 * h ** 2)) @ cross
-    return A.tocsr()
+    stencil = [(step(), 2.0 * a.trace(axis1=1, axis2=2) / h ** 2)]
+    for k in range(n):
+        side = -(a[:, k, k] / h ** 2)
+        stencil += [(step((k, 1)), side), (step((k, -1)), side)]
+        for l in range(k + 1, n):
+            cross = 2.0 * a[:, k, l] / (4.0 * h ** 2)
+            stencil += [(step((k, s), (l, s * t)), -t * cross)
+                        for s in (1, -1) for t in (1, -1)]
+    # entry q of the diagonal at flat offset d is A[q - d, q]; offsets that
+    # share d (on grids one or two nodes wide) couple disjoint node pairs
+    strides = [math.prod(shape[k + 1:]) for k in range(n)]
+    diags = {}
+    for offset, coef in stencil:
+        src = tuple(slice(max(0, -o), m - max(0, o))
+                    for o, m in zip(offset, shape))
+        dst = tuple(slice(max(0, o), m - max(0, -o))
+                    for o, m in zip(offset, shape))
+        d = sum(o * stride for o, stride in zip(offset, strides))
+        diags.setdefault(d, np.zeros(shape))[dst] = coef.reshape(shape)[src]
+    data = np.array(list(diags.values())).reshape(len(diags), -1)
+    # the conversion drops the zeros: neighbours off the interior, zero a^kl
+    return sparse.dia_matrix((data, list(diags)),
+                             shape=(data.shape[1],) * 2).tocsr()
 
 
 def _grid_points(axes):
-    if len(axes) == 1:
-        return axes[0][:, None]
-    gx, gy = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    n = len(axes)
+    points = np.empty(tuple(map(len, axes)) + (n,))
+    for k, ax in enumerate(axes):
+        points[..., k] = ax.reshape((-1,) + (1,) * (n - k - 1))
+    return points.reshape(-1, n)
 
 
 def solve_fd_kernel(spec, halfwidth, nodes, source, t_max, steps=1024,
@@ -246,13 +250,16 @@ def solve_fd_kernel(spec, halfwidth, nodes, source, t_max, steps=1024,
     h = axes[0][1] - axes[0][0]
     y = np.broadcast_to(np.asarray(source, dtype=float), (n,))
     idx = tuple(int(np.argmin(np.abs(ax - yc))) for ax, yc in zip(axes, y))
+    if any(i in (0, nodes - 1) for i in idx):
+        raise ValueError(
+            f"source {source!r} is not inside the box [{-halfwidth!r}, "
+            f"{halfwidth!r}]^{n}: its nearest grid node is on the boundary")
     y_snap = np.array([ax[i] for ax, i in zip(axes, idx)])
     spec.validate_on(_grid_points(axes))
 
     shape = tuple(len(ax) - 2 for ax in axes)
     u = np.zeros(shape)
-    interior_idx = tuple(i - 1 for i in idx)
-    u[interior_idx] = 1.0 / h ** n
+    u[tuple(i - 1 for i in idx)] = 1.0 / h ** n
 
     A = _laplacian_operator(spec, axes, h)
     dt = t_max / steps
@@ -275,11 +282,8 @@ def solve_fd_kernel(spec, halfwidth, nodes, source, t_max, steps=1024,
             times.append(m * dt)
             fields.append(vec.reshape(shape).copy())
 
-    full_shape = tuple(len(ax) for ax in axes)
-    stored = np.zeros((len(times),) + full_shape)
-    inner = tuple(slice(1, -1) for _ in range(n))
-    for i, f in enumerate(fields):
-        stored[(i,) + inner] = f
+    stored = np.zeros((len(times),) + tuple(len(ax) for ax in axes))
+    stored[(slice(None),) + (slice(1, -1),) * n] = fields
     return GridKernel(axes, np.asarray(times), stored, y_snap, float(h))
 
 
@@ -308,20 +312,20 @@ def closeness_report(points, times, values_a, values_b, source, *,
     sup_v = 0.0
     sup_g = 0.0
     used = 0
-    dist = np.linalg.norm(np.atleast_2d(points) - source, axis=1)
+    near = np.linalg.norm(np.atleast_2d(points) - source, axis=1) < 0.5
+    within = np.linalg.norm(np.atleast_2d(points), axis=1) <= x_max
     grid_shape = values_a.shape[1:]
+    inner = _interior_mask(grid_shape).ravel()
     for ti, t in enumerate(times):
         if not (t_window[0] <= t <= t_window[1]):
             continue
-        mask = ~((dist < 0.5) & (t < 0.25))
-        mask &= np.linalg.norm(np.atleast_2d(points), axis=1) <= x_max
+        mask = within & ~near if t < 0.25 else within
         diff = (values_a[ti] - values_b[ti]).ravel()
         sup_v = max(sup_v, float(np.abs(diff[mask]).max()))
         used += int(mask.sum())
         ga = _grid_gradient(values_a[ti], grid_shape, spacing)
         gb = _grid_gradient(values_b[ti], grid_shape, spacing)
         gdiff = np.linalg.norm(ga - gb, axis=-1).ravel()
-        inner = _interior_mask(grid_shape).ravel()
         sel = mask & inner
         if sel.any():
             sup_g = max(sup_g, float(gdiff[sel].max()))
@@ -329,23 +333,18 @@ def closeness_report(points, times, values_a, values_b, source, *,
 
 
 def _grid_gradient(values, shape, h):
+    """Central differences along each axis, zero on that axis's ends."""
     v = values.reshape(shape)
-    if len(shape) == 1:
-        g = np.zeros(shape + (1,))
-        g[1:-1, 0] = (v[2:] - v[:-2]) / (2 * h)
-        return g
-    g = np.zeros(shape + (2,))
-    g[1:-1, :, 0] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    g[:, 1:-1, 1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    g = np.zeros(shape + (len(shape),))
+    for k in range(len(shape)):
+        vk = np.moveaxis(v, k, 0)
+        np.moveaxis(g[..., k], k, 0)[1:-1] = (vk[2:] - vk[:-2]) / (2 * h)
     return g
 
 
 def _interior_mask(shape):
     mask = np.zeros(shape, dtype=bool)
-    if len(shape) == 1:
-        mask[1:-1] = True
-    else:
-        mask[1:-1, 1:-1] = True
+    mask[(slice(1, -1),) * len(shape)] = True
     return mask
 
 
@@ -416,17 +415,8 @@ def ellipticity_sweep(q_minus_one_values, *, nodes=801, steps=1024,
 
 
 def export_grid_kernel(gk, path):
-    if gk.dim == 1:
-        header = ["x", "t", "value"]
-        rows = []
-        for ti in range(len(gk.times)):
-            for xi, x in enumerate(gk.axes[0]):
-                rows.append((x, gk.times[ti], gk.values[ti, xi]))
-    else:
-        header = ["x", "y", "t", "value"]
-        rows = []
-        for ti in range(len(gk.times)):
-            for xi, x in enumerate(gk.axes[0]):
-                for yi, y in enumerate(gk.axes[1]):
-                    rows.append((x, y, gk.times[ti], gk.values[ti, xi, yi]))
-    reporting.write_csv(path, header, rows)
+    """One row (x[, y], t, value) per stored time and grid node."""
+    points = gk.points().tolist()
+    rows = [(*p, t, v) for t, values in zip(gk.times.tolist(), gk.values)
+            for p, v in zip(points, values.ravel().tolist())]
+    reporting.write_csv(path, ["x", "y"][:gk.dim] + ["t", "value"], rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .charts import holder_seminorm
 from .manifold import assemble_laplacian
 
 # scipy.integrate is imported inside abresch_gromoll, its only user: imported
@@ -284,18 +285,13 @@ def _face_centroids(mesh, faces):
     return x0 + (e1 + e2) / 3.0
 
 
-def _holder_over_faces(mesh, gram, faces, alpha=0.5):
+def _holder_over_faces(mesh, gram, faces, alpha):
+    """Largest Holder quotient of a gram entry over the face centroids,
+    with distances taken in the mesh's minimal image."""
     cent = _face_centroids(mesh, faces)
-    best = 0.0
     n = gram.shape[1]
-    diff = mesh.wrap(cent[:, None, :] - cent[None, :, :])
-    dist = np.linalg.norm(diff, axis=-1)
-    mask = dist > 0
-    for i in range(n):
-        for j in range(i, n):
-            dg = np.abs(gram[:, None, i, j] - gram[None, :, i, j])
-            best = max(best, float((dg[mask] / dist[mask] ** alpha).max()))
-    return best
+    return max(holder_seminorm(gram[:, i, j], cent, alpha, mesh.wrap)
+               for i in range(n) for j in range(i, n))
 
 
 # The sources of the coordinate fields sit FRAME_FACTOR * iota from the
@@ -310,8 +306,6 @@ def distance_coordinates_experiment(mesh, base, r, *, iota):
     `FRAME_FACTOR * iota`, computes exact distance fields, per-triangle
     gradients, and the gram matrix field over the ball of radius r.
     """
-    if mesh.reference is None:
-        raise ValueError("experiment needs a mesh with reference geometry")
     d_frame = FRAME_FACTOR * iota
     sources = frame_points(mesh, base, d_frame)
     fields = _distance_fields(mesh, sources)
@@ -325,7 +319,7 @@ def distance_coordinates_experiment(mesh, base, r, *, iota):
     b = int(base)
     touching = np.nonzero((f0 == b) | (f1 == b) | (f2 == b))[0]
     gram_base = _gram_fields(mesh, fields, touching).mean(axis=0)
-    holder = _holder_over_faces(mesh, gram, faces) * math.sqrt(r)
+    holder = _holder_over_faces(mesh, gram, faces, 0.5) * math.sqrt(r)
     return DistanceCoordinateReport(
         float(eigs.min()), float(eigs.max()), gram_base, float(holder),
         int(faces.size), int(np.sum(base_field <= r)), float(r),

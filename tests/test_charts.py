@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sparse
 
 from spectral_embed import charts
 from spectral_embed.charts import (
@@ -125,16 +126,23 @@ class TestChartSpec:
         assert mollifier(np.array([2.0]))[0] == 0.0
 
 
-def dense_holder_seminorm(values, points, alpha):
+def dense_holder_seminorm(values, points, alpha, wrap=None):
     """The all-pairs reference: full (n, n) difference and distance matrices."""
     values = np.asarray(values, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] != len(values):
-        points = points.T
+    points = np.asarray(points, dtype=float)
     diff = np.abs(values[:, None] - values[None, :])
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    disp = points[:, None, :] - points[None, :, :]
+    if wrap is not None:
+        disp = wrap(disp)
+    dist = np.linalg.norm(disp, axis=-1)
     mask = dist > 0
     return float((diff[mask] / dist[mask] ** alpha).max())
+
+
+def minimal_image(period):
+    """The displacement to the nearest periodic copy, as TriMesh.wrap takes
+    it on a grid torus of this period along every axis."""
+    return lambda disp: disp - period * np.round(disp / period)
 
 
 class TestHolderSeminorm:
@@ -148,21 +156,28 @@ class TestHolderSeminorm:
         pts[n // 2] = pts[0]
         pts[-1] = pts[1]
         vals = rng.normal(size=n)
+        # periodic: the points in one cell [0, 1) of a unit period, with the
+        # steepest pair on either side of the seam, close in the minimal
+        # image and far apart without it
+        cell = pts % 1.0
+        cell[2], cell[3] = 1e-3, 1.0 - 1e-3
+        seam_vals = vals.copy()
+        seam_vals[2], seam_vals[3] = 10.0, -10.0
+        wrap = minimal_image(1.0)
         for alpha in (0.3, 0.5, 1.0):
             got = holder_seminorm(vals, pts, alpha)
             assert got == dense_holder_seminorm(vals, pts, alpha)
             assert got == holder_seminorm(vals[::-1], pts[::-1], alpha)
-
-    def test_transposed_points(self):
-        xs = np.linspace(-1.0, 1.0, charts.HOLDER_BLOCK + 7)
-        vals = np.sin(3.0 * xs)
-        assert holder_seminorm(vals, xs, 0.5) == \
-            dense_holder_seminorm(vals, xs[:, None], 0.5)
+            got = holder_seminorm(seam_vals, cell, alpha, wrap)
+            assert got == dense_holder_seminorm(seam_vals, cell, alpha, wrap)
+            assert got == holder_seminorm(seam_vals[::-1], cell[::-1], alpha,
+                                          wrap)
+            assert got > dense_holder_seminorm(seam_vals, cell, alpha)
 
     def test_one_dimensional_distances_are_exact(self):
         # |x - x'| where norm() would square a spacing of 1e-200 to 0 and
         # drop the pair
-        xs = np.array([0.0, 1e-200, 1.0])
+        xs = np.array([[0.0], [1e-200], [1.0]])
         assert holder_seminorm([0.0, 1.0, 1.0], xs, 1.0) == 1e200
 
     def test_no_pair_at_positive_distance_raises(self):
@@ -201,6 +216,75 @@ class TestHolderSeminorm:
     def test_bump_seminorm_unchanged(self, q, seminorm):
         charts._bump_profile.cache_clear()
         assert bump_chart(1, q).seminorm == float.fromhex(seminorm)
+
+
+def tridiagonal_operator(spec, axes, h):
+    """The 1-D operator -a d^2 as three diagonals."""
+    x = axes[0][1:-1]
+    a = spec.coeff(x[:, None])[:, 0, 0]
+    main = 2.0 * a / h ** 2
+    off = -a / h ** 2
+    return sparse.diags([off[1:], main, off[:-1]], [-1, 0, 1], format="csr")
+
+
+def kronecker_operator(spec, axes, h):
+    """The 2-D operator -a^{ij} d_i d_j from Kronecker products of shifts."""
+    xs, ys = axes[0][1:-1], axes[1][1:-1]
+    mx, my = len(xs), len(ys)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    a = spec.coeff(np.column_stack([gx.ravel(), gy.ravel()]))
+    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+
+    def shift(dx, dy):
+        # maps u to u shifted by (dx, dy) grid cells, zero off the interior
+        sx = sparse.diags([np.ones(mx - abs(dx))], [dx], shape=(mx, mx))
+        sy = sparse.diags([np.ones(my - abs(dy))], [dy], shape=(my, my))
+        return sparse.kron(sx, sy, format="csr")
+
+    D = sparse.diags
+    A = D(2.0 * (a11 + a22) / h ** 2)
+    A = A - D(a11 / h ** 2) @ (shift(1, 0) + shift(-1, 0))
+    A = A - D(a22 / h ** 2) @ (shift(0, 1) + shift(0, -1))
+    cross = shift(1, 1) + shift(-1, -1) - shift(1, -1) - shift(-1, 1)
+    A = A - D(2.0 * a12 / (4.0 * h ** 2)) @ cross
+    return A.tocsr()
+
+
+def skewed_chart():
+    """2-D coefficients whose three entries all vary from node to node."""
+    def coeff(x):
+        x = np.atleast_2d(x)
+        a = np.empty((len(x), 2, 2))
+        a[:, 0, 0] = 1.0 + 0.1 * np.sin(x[:, 0])
+        a[:, 1, 1] = 1.0 + 0.1 * np.cos(x[:, 1])
+        a[:, 0, 1] = a[:, 1, 0] = 0.2 * np.cos(x[:, 0] + 2.0 * x[:, 1])
+        return a
+    return ChartSpec(2, coeff, 2.0, 0.5, 0.0)
+
+
+class TestOperator:
+    @pytest.mark.parametrize("spec, nodes, reference", [
+        (identity_chart(1), 41, tridiagonal_operator),
+        (bump_chart(1, 1.08), 41, tridiagonal_operator),
+        (identity_chart(2), 21, kronecker_operator),
+        (bump_chart(2, 1.06, width=1.5), 21, kronecker_operator),
+        (constant_chart([[1.3, 0.4], [0.4, 0.8]]), 21, kronecker_operator),
+        (skewed_chart(), 21, kronecker_operator),
+        # one and two interior nodes per axis: stencil offsets that share
+        # a flat offset
+        (skewed_chart(), 3, kronecker_operator),
+        (skewed_chart(), 4, kronecker_operator),
+    ])
+    def test_stencil_equals_reference_construction(self, spec, nodes,
+                                                   reference):
+        axes = tuple(np.linspace(-3.0, 3.0, nodes) for _ in range(spec.dim))
+        h = axes[0][1] - axes[0][0]
+        A = charts._laplacian_operator(spec, axes, h)
+        ref = reference(spec, axes, h)
+        assert A.shape == ref.shape
+        assert (A != ref).nnz == 0
+        # no stored zeros: a vanishing cross coefficient adds no entry
+        assert A.nnz == ref.nnz
 
 
 def boundary_contact(gk, ti):
@@ -345,6 +429,21 @@ class TestCloseness:
 def test_grid_dimension_guard():
     with pytest.raises(ValueError, match="two dimensions"):
         solve_fd_kernel(identity_chart(3), 2.0, 11, (0, 0, 0), 0.1, steps=4)
+
+
+@pytest.mark.parametrize("dim, source", [
+    (1, -100.0), (1, 100.0),
+    (2, (-100.0, 0.0)), (2, (100.0, 0.0)),
+    (2, (0.0, -100.0)), (2, (0.0, 100.0)),
+])
+def test_source_outside_the_box_is_rejected(dim, source):
+    # the nearest node of such a source is on the Dirichlet boundary, where
+    # no unit mass can be placed
+    with pytest.raises(ValueError) as err:
+        solve_fd_kernel(identity_chart(dim), 6.0, 41, source, 0.1, steps=4)
+    assert str(err.value) == (
+        f"source {source!r} is not inside the box [-6.0, 6.0]^{dim}: its "
+        "nearest grid node is on the boundary")
 
 
 def test_2d_variable_bump_close_to_euclidean():

@@ -742,8 +742,8 @@ class TestSubcommands:
             "config_embed_band_lo=0.999"]
 
     def test_failed_check_names_the_run_and_report(self, tmp_path, capsys):
-        # 4 of the 20 samples get no certified truncation index: they are
-        # left out of truncation.csv, and stderr counts them
+        # 4 of the 20 samples get no certified truncation index: they stay
+        # in truncation.csv, and stderr counts them
         cfg = write_cfg(tmp_path, "manifold.kind = sphere\n"
                         "spectrum.count = 225\nbounds.r_h = 1.0\n"
                         "bounds.iota = 3.141592653589793\n")
@@ -752,10 +752,15 @@ class TestSubcommands:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "check failed: verify truncation: truncation_report.txt has "
-            "pass=0: 4 of 20 samples uncertified (left out of "
-            "truncation.csv), 0 with bound_n < brute_n\n")
+            "pass=0: 4 of 20 samples uncertified, 0 with bound_n < "
+            "brute_n\n")
         assert (out / "truncation_report.txt").read_text().startswith(
-            "samples=16\npass=0\n")
+            "samples=20\npass=0\n")
+        rows = (out / "truncation.csv").read_text().splitlines()[1:]
+        assert len(rows) == 20
+        uncertified = [r.split(",") for r in rows if ",uncertified," in r]
+        assert len(uncertified) == 4
+        assert all(int(brute) >= 0 for *_, brute in uncertified)
 
     def test_failed_band_names_the_quantity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_CFG + "embed.band_lo = 1.5\n"
