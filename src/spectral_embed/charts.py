@@ -186,9 +186,6 @@ class GridKernel:
     def field(self, ti):
         return self.values[ti].ravel()
 
-    def mass(self, ti):
-        return float(self.values[ti].sum() * self.spacing ** self.dim)
-
 
 def _laplacian_operator(spec, axes, h):
     """Sparse non-divergence operator -a^{ij} d_i d_j on interior nodes: a

@@ -203,7 +203,19 @@ def evaluate_map(emap, points):
 
 
 def image_distance(emap, fx, fy):
-    diff = fx - fy
+    return _length(emap, fx - fy)
+
+
+def _separations(emap, gaps, net_features):
+    """|Phi(x) - Phi(y)| per pair from `gaps`, the pairs' differences of
+    `map_features`.  Every map is linear in its features, so the image of
+    a gap is the difference of the images: one kernel product per pair
+    where the images at both ends take two."""
+    return _length(emap, map_image(emap, gaps, net_features))
+
+
+def _length(emap, diff):
+    """Norm of image differences, one per row, in the map's target norm."""
     if emap.norm == "max":
         return np.abs(diff).max(axis=-1)
     dist = np.linalg.norm(diff, axis=-1)
@@ -222,48 +234,59 @@ def image_distance(emap, fx, fy):
 # Pair sampling
 # ---------------------------------------------------------------------------
 
-def _source_fields(manifold, size, rng, limit=np.inf):
-    """Canonical sample, distinct random source rows and their fields,
-    which may be inf beyond `limit`.
+# sources whose distance fields are held at once while pairs are drawn
+SOURCE_BLOCK = 8
 
-    A source's own column is zeroed: closed-form distances can leave
-    roundoff there (arccos on the sphere), and a point is no pair with
-    itself.
+
+def _sample_pairs(manifold, size, count, rng, keep, capped, empty,
+                  limit=np.inf):
+    """Up to `count` pairs of canonical sample points, in a random order,
+    around up to `size` distinct random sources: per source, the sample
+    points whose distance passes `keep`, or with `capped` up to
+    `max(4, count // sources)` random ones of them.  Fails with `empty`
+    when no point passes.
+
+    Fields, which may be inf beyond `limit`, are computed SOURCE_BLOCK
+    sources at a time.  A source's own column is zeroed: closed-form
+    distances can leave roundoff there (arccos on the sphere), and a point
+    is no pair with itself.
     """
     P = manifold.sample_points()
     sources = rng.choice(len(P), size=min(size, len(P)), replace=False)
-    fields = manifold.distance_between(P[sources], P, limit=limit)
-    fields[np.arange(len(sources)), sources] = 0.0
-    return P, sources, fields
+    per = max(4, count // len(sources))
+    rows, cols, dists = [], [], []
+    for start in range(0, len(sources), SOURCE_BLOCK):
+        block = sources[start:start + SOURCE_BLOCK]
+        fields = manifold.distance_between(P[block], P, limit=limit)
+        fields[np.arange(len(block)), block] = 0.0
+        for i, field in enumerate(fields, start):
+            picked = np.nonzero(keep(field))[0]
+            if capped and picked.size:
+                picked = rng.choice(picked, size=min(per, picked.size),
+                                    replace=False)
+            rows.append(np.full(picked.size, i))
+            cols.append(picked)
+            dists.append(field[picked])
+    rows, cols, dists = map(np.concatenate, (rows, cols, dists))
+    if not rows.size:
+        raise ValueError(empty)
+    idx = rng.permutation(rows.size)[:count]
+    return P[sources[rows[idx]]], P[cols[idx]], dists[idx]
 
 
 def sample_near_pairs(manifold, h_near, count, rng):
     """Pairs of canonical sample points with geodesic separation in
     (0, h_near], drawn around up to 64 random sources."""
-    P, sources, fields = _source_fields(manifold, 64, rng, limit=h_near)
-    rows, cols = np.nonzero((fields > 0) & (fields <= h_near))
-    if not rows.size:
-        raise ValueError("no pairs within h_near")
-    idx = rng.permutation(rows.size)[:count]
-    rows, cols = rows[idx], cols[idx]
-    return P[sources[rows]], P[cols], fields[rows, cols]
+    return _sample_pairs(manifold, 64, count, rng,
+                         lambda d: (d > 0) & (d <= h_near), False,
+                         "no pairs within h_near", limit=h_near)
 
 
 def sample_far_pairs(manifold, h_far, count, rng):
     """Pairs of canonical sample points with geodesic separation >= h_far:
     up to `count // sources` (at least 4) per source, from up to 32."""
-    P, sources, fields = _source_fields(manifold, 32, rng)
-    per = max(4, count // len(sources))
-    far = [np.nonzero(field >= h_far)[0] for field in fields]
-    picks = [rng.choice(f, size=min(per, f.size), replace=False) if f.size
-             else f for f in far]
-    rows = np.repeat(np.arange(len(picks)), [p.size for p in picks])
-    cols = np.concatenate(picks)
-    if not rows.size:
-        raise ValueError("no pairs beyond h_far")
-    idx = rng.permutation(rows.size)[:count]
-    rows, cols = rows[idx], cols[idx]
-    return P[sources[rows]], P[cols], fields[rows, cols]
+    return _sample_pairs(manifold, 32, count, rng, lambda d: d >= h_far,
+                         True, "no pairs beyond h_far")
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +356,22 @@ def _far_pairs(manifold, h_far, count, seed):
                             np.random.default_rng(seed))
 
 
-def _dilatation(emap, fx, fy, ds, h_near):
-    ratios = image_distance(emap, fx, fy) / ds
-    return EmbeddingReport(emap.kind, ratios, ds, float(h_near), emap.t,
+def _dilatation(emap, seps, ds, h_near):
+    """Report on near pairs from their image separations `seps`."""
+    return EmbeddingReport(emap.kind, seps / ds, ds, float(h_near), emap.t,
                            {"norm": emap.norm, "m": emap.ambient_dim()})
 
 
-def _injectivity(emap, fx, fy, ds, h_far):
-    seps = image_distance(emap, fx, fy)
+def _injectivity(seps, ds, h_far):
+    """Report on far pairs from their image separations `seps`."""
     return {"margin": float(seps.min()), "pairs": len(seps),
             "h_far": float(h_far), "min_distance": float(np.min(ds))}
+
+
+def _feature_gaps(emap, pairs):
+    """`map_features` differences over sampled (xs, ys, ds) pairs."""
+    xs, ys, _ = pairs
+    return map_features(emap, xs) - map_features(emap, ys)
 
 
 def dilatation_report(emap, manifold, h_near, *, count=400, seed=0):
@@ -351,17 +380,17 @@ def dilatation_report(emap, manifold, h_near, *, count=400, seed=0):
     The stored scale already carries the normalizing constant, so a
     near-isometry shows ratios inside [1-eps, 1+eps] directly.
     """
-    xs, ys, ds = _near_pairs(manifold, h_near, count, seed)
-    return _dilatation(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
-                       ds, h_near)
+    near = _near_pairs(manifold, h_near, count, seed)
+    seps = _separations(emap, _feature_gaps(emap, near), _net_features(emap))
+    return _dilatation(emap, seps, near[2], h_near)
 
 
 def injectivity_report(emap, manifold, h_far, *, count=400, seed=0):
     """Minimal image separation over far pairs; positive margin certifies
     injectivity at the sample resolution."""
-    xs, ys, ds = _far_pairs(manifold, h_far, count, seed)
-    return _injectivity(emap, evaluate_map(emap, xs), evaluate_map(emap, ys),
-                        ds, h_far)
+    far = _far_pairs(manifold, h_far, count, seed)
+    seps = _separations(emap, _feature_gaps(emap, far), _net_features(emap))
+    return _injectivity(seps, far[2], h_far)
 
 
 def continuous_dilatation(ev, p, t):
@@ -398,9 +427,10 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
 
     A suitable small t is known to exist but not constructively; the scan
     substitutes for the missing constants.  The near and far pairs are
-    drawn once with `seed`, and the map's t-independent `map_features` at
-    them are computed once; each level only reweights them, so it reports
-    what `dilatation_report` and `injectivity_report` give at its t.
+    drawn once with `seed`, and the differences of the map's t-independent
+    `map_features` over them are computed once; each level only reweights
+    them, so it reports what `dilatation_report` and `injectivity_report`
+    give at its t.
     """
     if levels < 1:
         raise ValueError("a scan needs at least one level")
@@ -410,15 +440,15 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
                       eigencount=eigencount) for t in ts]
     near = _near_pairs(man, h_near, count, seed)
     far = _far_pairs(man, h_far, count, seed)
-    features = [map_features(emaps[0], p)
-                for p in (near[0], near[1], far[0], far[1])]
+    near_gaps, far_gaps = (_feature_gaps(emaps[0], p) for p in (near, far))
     net_features = _net_features(emaps[0])
     results = []
     for t, emap in zip(ts, emaps):
-        nx, ny, fx, fy = (map_image(emap, f, net_features) for f in features)
+        near_seps = _separations(emap, near_gaps, net_features)
+        far_seps = _separations(emap, far_gaps, net_features)
         results.append({
-            "t": t, "report": _dilatation(emap, nx, ny, near[2], h_near),
-            "injectivity": _injectivity(emap, fx, fy, far[2], h_far)})
+            "t": t, "report": _dilatation(emap, near_seps, near[2], h_near),
+            "injectivity": _injectivity(far_seps, far[2], h_far)})
     best = min(results,
                key=lambda r: max(abs(r["report"].dil_max - 1.0),
                                  abs(1.0 - r["report"].dil_min)))

@@ -1,5 +1,6 @@
 """Deterministic report and CSV writers (atomic, byte-stable)."""
 
+import itertools
 import os
 import re
 import tempfile
@@ -35,9 +36,9 @@ class WriteError(OSError):
 
 
 def atomic_write(path, data):
-    """Write `data` (text, or bytes as given) via a temp file in the same
-    directory, then rename.  An OSError on the way is raised as a
-    WriteError naming `path`."""
+    """Write `data` (text, bytes as given, or an iterable of text chunks)
+    via a temp file in the same directory, then rename.  An OSError on the
+    way is raised as a WriteError naming `path`."""
     tmp = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
@@ -47,7 +48,8 @@ def atomic_write(path, data):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, (str, bytes)) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -79,16 +81,29 @@ def _column(cells):
     return map(_cell, cells)
 
 
+# rows formatted per chunk of the file; a 512 x 129 export then holds 0.6
+# MiB of text at once instead of 3.7 MiB
+CSV_BLOCK = 64
+
+
+def _lines(rows):
+    """fmt text of a block of rows, one line each: by column when the rows
+    share one nonzero width, cell by cell otherwise."""
+    widths = set(map(len, rows))
+    if len(widths) == 1 and widths != {0}:
+        return map(",".join, zip(*map(_column, zip(*rows))))
+    return (",".join(map(_cell, row)) for row in rows)
+
+
 def write_csv(path, header, rows):
     """CSV with one fmt text per cell; hand bulk numpy data over as
     ``.tolist()`` rows, whose Python floats and ints take the fast path.
 
-    Cells are formatted by column; ragged rows go cell by cell."""
-    rows = list(rows)
-    widths = set(map(len, rows))
-    lines = [",".join(header)]
-    if len(widths) == 1 and widths != {0}:
-        lines.extend(map(",".join, zip(*map(_column, zip(*rows)))))
-    else:
-        lines.extend(",".join(map(_cell, row)) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    Rows are formatted and written CSV_BLOCK at a time."""
+    rows = iter(rows)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        while block := list(itertools.islice(rows, CSV_BLOCK)):
+            yield "\n".join(_lines(block)) + "\n"
+    atomic_write(path, chunks())

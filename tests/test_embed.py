@@ -299,12 +299,12 @@ class TestInjectivity:
         assert d.min() >= 0.1 * np.pi - 1e-9
         # modes below the fiber gap are constant along the fiber
         f_lo = make_map("F", evaluator=ev, eigencount=18, t=0.01)
-        lo = _injectivity(f_lo, evaluate_map(f_lo, a), evaluate_map(f_lo, b),
-                          d, 0.1)
+        lo = _injectivity(image_distance(f_lo, evaluate_map(f_lo, a),
+                                         evaluate_map(f_lo, b)), d, 0.1)
         assert lo["margin"] <= 1e-8
         f_hi = make_map("F", evaluator=ev, eigencount=22, t=0.01)
-        hi = _injectivity(f_hi, evaluate_map(f_hi, a), evaluate_map(f_hi, b),
-                          d, 0.1)
+        hi = _injectivity(image_distance(f_hi, evaluate_map(f_hi, a),
+                                         evaluate_map(f_hi, b)), d, 0.1)
         assert hi["margin"] > 1e-3
 
 
@@ -325,8 +325,8 @@ class TestContinuousDilatation:
         h = make_map("H", evaluator=circle_ev, net=fine_net, t=t)
         xs, ys, ds = sample_near_pairs(CIRCLE, 0.02, 60,
                                        np.random.default_rng(4))
-        rep = _dilatation(h, evaluate_map(h, xs), evaluate_map(h, ys), ds,
-                          0.02)
+        rep = _dilatation(h, image_distance(h, evaluate_map(h, xs),
+                                            evaluate_map(h, ys)), ds, 0.02)
         coarseness = fine_net.delta / math.sqrt(2 * t)
         assert abs(rep.quantile(0.5) - cont) <= 3 * coarseness
 
@@ -591,3 +591,61 @@ def test_closed_form_pairs_are_sample_points(man):
         assert np.array_equal(ds, man.distance(xs, ys))
     assert np.all((near[2] > 0) & (near[2] <= h_near))
     assert np.all(far[2] >= h_far)
+
+
+_BLOCK_BACKENDS = {
+    "circle": lambda: CIRCLE, "torus": lambda: FlatTorus((2 * np.pi, 0.5)),
+    "sphere": lambda: Sphere(1.0), "icosphere3": lambda: ICOSPHERE3}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_BACKENDS))
+@pytest.mark.parametrize("sampler", [sample_near_pairs, sample_far_pairs])
+def test_source_blocks_match_one_block(name, sampler, monkeypatch):
+    # 64 and 32 sources come in whole blocks of 8: the sphere's P @ Q.T
+    # rounds a one-row block differently, as any one-row call
+    from spectral_embed import embed
+    man = _BLOCK_BACKENDS[name]()
+    h = (4 * man.resolution() if sampler is sample_near_pairs
+         else man.diameter() / 8)
+    got = sampler(man, h, 400, np.random.default_rng(5))
+    monkeypatch.setattr(embed, "SOURCE_BLOCK", 1 << 20)
+    ref = sampler(man, h, 400, np.random.default_rng(5))
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("man", [CIRCLE, FlatTorus((2 * np.pi, 2 * np.pi))],
+                         ids=["circle", "torus"])
+@pytest.mark.parametrize("sampler", [sample_near_pairs, sample_far_pairs])
+def test_pair_sampling_peak_memory(man, sampler, traced_peak):
+    # 4096 samples: fields of 8 sources at a time peak near 1.2 MiB; one
+    # (64, 4096) array of every near source's field took 4.0 MiB on the
+    # circle and 6.1 on the torus, one (32, 4096) of the far ones 2.0 and 3.1
+    h = (4 * man.resolution() if sampler is sample_near_pairs
+         else man.diameter() / 8)
+    _, peak = traced_peak(sampler, man, h, 400, np.random.default_rng(0))
+    assert peak <= 1.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["G", "H", "F", "kuratowski"])
+def test_scan_matches_per_endpoint_images(kind, circle_ev):
+    # a scan maps the feature difference of each pair; mapping both ends
+    # and subtracting the images agrees to roundoff
+    net = build_net(CIRCLE, 0.3)
+    opts = dict(evaluator=circle_ev, net=net, manifold=CIRCLE, eigencount=9)
+    results, _ = scan_embedding(kind, t_max=0.4, levels=4, h_near=0.05,
+                                h_far=1.0, count=200, seed=6, **opts)
+    near = sample_near_pairs(CIRCLE, 0.05, 200, np.random.default_rng(6))
+    far = sample_far_pairs(CIRCLE, 1.0, 200, np.random.default_rng(6))
+    for r in results:
+        emap = make_map(kind, t=r["t"], **opts)
+        xs, ys, ds = near
+        ratios = image_distance(emap, evaluate_map(emap, xs),
+                                evaluate_map(emap, ys)) / ds
+        np.testing.assert_allclose(r["report"].ratios, ratios, rtol=1e-12,
+                                   atol=0)
+        seps = image_distance(emap, evaluate_map(emap, far[0]),
+                              evaluate_map(emap, far[1]))
+        assert r["injectivity"]["margin"] == pytest.approx(seps.min(),
+                                                           rel=1e-12)

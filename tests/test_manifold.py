@@ -930,6 +930,28 @@ class TestSphereAllDegrees:
         _assert_within(vals[few], mp_vals, scale, bound)
         _assert_within(grads[few], mp_grads, gscale, bound)
 
+    @pytest.mark.parametrize("count", [40, 400])
+    def test_block_size_changes_no_bit(self, count, monkeypatch):
+        s = Sphere(1.3)
+        P = self._points(s)
+
+        def fields():
+            basis = s.eigenbasis(count)
+            return (basis.values(P), basis.gradients(P), basis.sup_norms(),
+                    basis.grad_sup_norms())
+
+        ours = fields()
+        monkeypatch.setattr(manifold._SphereBasis, "BLOCK", 256)
+        for got, ref in zip(ours, fields()):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_sup_norms_peak_memory(self, traced_peak):
+        # the benchmark's 400 harmonics over 2000 samples: blocks of 64
+        # points peak at 3.3 MiB, blocks of 256 at 12.0
+        basis = Sphere(1.0).eigenbasis(400)
+        _, peak = traced_peak(basis.sup_norms)
+        assert peak <= 5 * 2 ** 20
+
     def test_degree_60(self):
         # l = 0..60 against sph_harm_y, and degrees 59 and 60 against mpmath
         s = Sphere(1.3)
@@ -1115,6 +1137,25 @@ class TestTorusBasis:
         assert basis.gradients(P).tobytes() == grads.tobytes()
         assert np.array_equal(basis.sup_norms(), sup)
         assert np.array_equal(basis.grad_sup_norms(), gsup)
+
+    @pytest.mark.parametrize("torus, count", [
+        (Circle(2 * np.pi), 41), (FlatTorus(THIN), 41),
+        (FlatTorus((2.0, 3.0)), 60)])
+    def test_matches_the_both_phases_form(self, torus, count):
+        # each mode takes only its own of cos and sin, in place; the
+        # former form took both for every mode and picked with np.where
+        basis = torus.eigenbasis(count)
+        rng = np.random.default_rng(count)
+        P = np.vstack([torus.sample_points(),
+                       rng.uniform(-20.0, 20.0, (200, torus.dim))])
+        theta = P @ basis.freq.T
+        vals = basis.amp * np.where(basis.sine, np.sin(theta), np.cos(theta))
+        slope = basis.amp * np.where(basis.sine, np.cos(theta),
+                                     -np.sin(theta))
+        grads = slope[:, :, None] * basis.freq
+        grads[:, basis._const] = 0.0
+        assert basis.values(P).tobytes() == vals.tobytes()
+        assert basis.gradients(P).tobytes() == grads.tobytes()
 
     @pytest.mark.parametrize("torus, count", [
         (Circle(1e300), 16), (Circle(5e-324), 16),

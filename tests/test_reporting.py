@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_embed import reporting
 from spectral_embed.reporting import fmt, write_csv
 
 FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16,
@@ -73,3 +74,34 @@ def test_typed_columns_match_fmt(tmp_path):
     []], ids=["ragged", "empty-first", "all-empty", "no-rows"])
 def test_ragged_rows_match_fmt(tmp_path, rows):
     assert written(tmp_path, ["a", "b"], rows) == reference(["a", "b"], rows)
+
+
+BLOCK = reporting.CSV_BLOCK
+RNG = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("rows", [
+    RNG.standard_normal((3 * BLOCK + 5, 4)).tolist(),
+    [[i, 0.5 * i] for i in range(BLOCK)],
+    [[i, 0.5 * i] for i in range(BLOCK + 1)],
+    # ragged in some blocks only, and blocks of other types
+    [[i] * (1 + (i > BLOCK) * (i % 3)) for i in range(2 * BLOCK + 7)],
+    [[np.float32(i), True, "x"] for i in range(BLOCK)]
+    + [[float(i), i, np.float64(i)] for i in range(BLOCK + 3)],
+    [()] * (BLOCK + 2),
+    []], ids=["uniform", "one-block", "one-past-a-block", "ragged", "typed",
+              "empty-rows", "no-rows"])
+def test_blocks_match_one_join(tmp_path, rows):
+    header = ["a", "b", "c", "d"]
+    # byte for byte the whole file formatted as one join
+    assert written(tmp_path, header, iter(rows)) == reference(header, rows)
+
+
+def test_export_peak_memory(tmp_path, traced_peak):
+    # the largest embedding export, 512 rows of a point and 128 coordinates:
+    # rows formatted a block at a time peak at 0.6 MiB, the whole file as
+    # one join at 3.7
+    rows = np.random.default_rng(1).standard_normal((512, 129)).tolist()
+    _, peak = traced_peak(write_csv, str(tmp_path / "e.csv"), ["c"] * 129,
+                          rows)
+    assert peak <= 2 ** 20

@@ -16,7 +16,8 @@ from spectral_embed.spectrum import (
     eigen_growth_check, eigenfunction_sup_bounds, truncation_index,
     default_faber_krahn, default_trace_constant)
 from spectral_embed.spectrum import (_band_shift_invert, _canonical_basis,
-                                     _multiplets, _tail_terms, _upper_gamma)
+                                     _lowest_off_span, _multiplets,
+                                     _tail_terms, _upper_gamma)
 
 
 CIRCLE = Circle(2 * np.pi)
@@ -264,6 +265,53 @@ class TestBandShiftInvert:
         [(rows, n)] = shapes
         assert n == a.shape[0]
         assert rows * n <= 1.5 * (lu.L.nnz + lu.U.nnz)
+
+
+class TestMissedEigenvalues:
+    # grid tori on which Lanczos from the constant start skips members of a
+    # multiplet and fills the count from the next one, every residual small
+    @pytest.mark.parametrize("periods, divisions, count", [
+        ((2 * np.pi, 4 * np.pi), (24, 48), 37),
+        ((2 * np.pi, 2 * np.pi), (12, 12), 64),
+        ((2 * np.pi, 2 * np.pi), (24, 24), 128)],
+        ids=["24x48-37", "12x12-64", "24x24-128"])
+    def test_skipped_multiplet_members_fail(self, periods, divisions, count):
+        mesh = make_torus_mesh(periods, divisions)
+        a, _, _ = _standard_form(mesh)
+        dense = np.linalg.eigvalsh(a.toarray())
+        with pytest.raises(EigensolverError,
+                           match="missed eigenvalues") as exc:
+            compute_spectrum(mesh, count)
+        # the eigenvalue it names is one of the lowest `count`
+        found = float(str(exc.value).rsplit(" ", 1)[1])
+        assert np.abs(dense[:count] - found).min() <= 1e-5 * found
+
+    @pytest.mark.parametrize("mesh, count", [
+        (ICOSPHERE3, 16), (ICOSPHERE3, 40)], ids=["l0-3", "cut-l6"])
+    def test_lowest_left_out_is_the_next_eigenvalue(self, mesh, count):
+        # at 40 the truncation cuts the l = 6 multiplet, so the lowest
+        # eigenvalue left out equals the largest returned, and passes
+        a, sigma, _ = _standard_form(mesh)
+        op = _band_shift_invert(a, sigma)
+        lams, vecs = spla.eigsh(a, k=count, sigma=sigma, which="LM",
+                                v0=np.ones(a.shape[0]), tol=0, OPinv=op)
+        dense = np.linalg.eigvalsh(a.toarray())
+        rest = _lowest_off_span(op, sigma, vecs)
+        assert rest == pytest.approx(dense[count], rel=1e-9)
+        assert compute_spectrum(mesh, count).count == count
+
+    def test_cli_names_the_count_and_the_eigenvalue(self, tmp_path, capsys):
+        from spectral_embed.cli import main
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifold.kind = grid_torus\n"
+                       f"manifold.periods = {2 * np.pi}, {4 * np.pi}\n"
+                       "manifold.divisions = 24, 48\nspectrum.count = 37\n")
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: eigensolver missed eigenvalues below 6.03005 "
+            "among the lowest 37: a deflated solve finds 4.90375\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestGrowthCheck:
