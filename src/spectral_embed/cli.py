@@ -330,6 +330,8 @@ def cmd_spectrum(cfg, outdir, seed, scan):
     _write_summary(outdir, "spectrum_report.txt", cfg, {
         "count": spec.count,
         "lambda_max": float(spec.eigenvalues[-1]),
+        "lambda_next": spec.next_eigenvalue,
+        "multiplet_split": int(spec.multiplet_split),
         "volume": spec.volume,
     })
 

@@ -204,9 +204,11 @@ class TriMesh:
                             + smallest(key[starts[:-1] & starts[1:]]))
         i = key[1::2] >> 1  # i nv + j of the i->j halves
         del key
-        i, j = np.divmod(i, nv, out=(i, np.empty_like(i)))
+        # int32 indices, as csgraph takes them, spare it a converted copy
+        index = np.int32 if len(i) <= np.iinfo(np.int32).max else np.int64
+        i, j = np.divmod(i, nv, out=(i, np.empty(len(i), dtype=index)))
         # the edges are sorted by (i, j): row counts give the CSR row starts
-        indptr = np.zeros(nv + 1, dtype=np.int64)
+        indptr = np.zeros(nv + 1, dtype=index)
         np.cumsum(np.bincount(i, minlength=nv), out=indptr[1:])
         del i
         graph = sparse.csr_matrix((np.ones(len(j)), j, indptr),

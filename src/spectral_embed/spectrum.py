@@ -104,7 +104,8 @@ class Spectrum:
     on analytic manifolds.  Immutable after construction.
     """
 
-    def __init__(self, eigenvalues, manifold, *, basis, operator_pair=None):
+    def __init__(self, eigenvalues, manifold, *, basis, operator_pair=None,
+                 next_eigenvalue=None):
         lam = self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         if np.any(np.diff(lam) < -1e-9 * max(1.0, abs(lam[-1]))):
             raise ValueError("eigenvalues must be nondecreasing")
@@ -116,10 +117,25 @@ class Spectrum:
         self.operator_pair = operator_pair
         self.dim = manifold.dim
         self.volume = manifold.volume
+        if next_eigenvalue is not None:  # shadows the lazy closed form
+            self.next_eigenvalue = float(next_eigenvalue)
 
     @property
     def count(self):
         return len(self.eigenvalues)
+
+    @functools.cached_property
+    def next_eigenvalue(self):
+        """The eigenvalue after the last one kept, lambda_count."""
+        return float(self.manifold.eigenbasis(self.count + 1).eigenvalues[-1])
+
+    @property
+    def multiplet_split(self):
+        """Whether `count` ends inside a multiplet: the next eigenvalue
+        equals the last one kept to the tolerance of `_multiplets`."""
+        *_, (start, _) = _multiplets(
+            np.append(self.eigenvalues, self.next_eigenvalue))
+        return start < self.count
 
     # -- evaluation -----------------------------------------------------------
 
@@ -255,9 +271,10 @@ def _band_shift_invert(a, sigma):
     perm = csgraph.reverse_cuthill_mckee(shifted, symmetric_mode=True)
     upper = sparse.triu(shifted[perm][:, perm]).tocoo()
     w = int((upper.col - upper.row).max())
-    band = np.zeros((w + 1, n))
+    # Fortran order lets dpbtrf factor the band in place, with no copy
+    band = np.zeros((w + 1, n), order="F")
     band[w + upper.row - upper.col, upper.col] = upper.data
-    chol, info = lapack.dpbtrf(band)
+    chol, info = lapack.dpbtrf(band, overwrite_ab=True)
     if info != 0:
         raise EigensolverError(
             f"shifted operator is not positive definite (dpbtrf info {info})")
@@ -268,19 +285,15 @@ def _band_shift_invert(a, sigma):
     return spla.LinearOperator((n, n), matvec=solve, dtype=float)
 
 
-def _lowest_off_span(op, sigma, vecs):
-    """Lowest eigenvalue of the operator whose shifted inverse is `op`,
-    off the span of the orthonormal columns of `vecs`: sigma + 1/mu, mu
-    the largest eigenvalue of P op P, P the projector off the columns.
+def _off_span_solve(op, vecs, **kwargs):
+    """`eigsh` for the largest eigenvalue of P op P, P the projector off
+    the orthonormal columns of `vecs`, from a seeded Gaussian start.
 
     Lanczos from one start vector sees only the eigenvectors the start
     has a part in, and roundoff brings the others in late, so a solve can
     skip members of a multiplet and return the next eigenvalue instead,
-    with every residual small.  This one-vector solve finds the lowest
-    one left out.  Its start is seeded noise: a start with the mesh's
-    symmetry would hide the same eigenvectors again.  A Ritz value is at
-    most mu, so a loose tolerance can only put the result too high; 1e-10
-    resolves the 1e-8 gap the caller tests.
+    with every residual small.  The start here is seeded noise: a start
+    with the mesh's symmetry would hide the same eigenvectors again.
     """
     n = vecs.shape[0]
 
@@ -291,9 +304,46 @@ def _lowest_off_span(op, sigma, vecs):
         (n, n), matvec=lambda x: off_span(op.matvec(off_span(x))),
         dtype=float)
     v0 = off_span(np.random.default_rng(0).standard_normal(n))
-    mu = spla.eigsh(deflated, k=1, which="LA", v0=v0, tol=1e-10,
-                    return_eigenvectors=False)[0]
+    return spla.eigsh(deflated, k=1, which="LA", v0=v0, **kwargs)
+
+
+def _lowest_off_span(op, sigma, vecs):
+    """Lowest eigenvalue of the operator whose shifted inverse is `op`,
+    off the span of the orthonormal columns of `vecs`: sigma + 1/mu, mu
+    the largest eigenvalue of P op P (see `_off_span_solve`).
+
+    A Ritz value is at most mu, so a loose tolerance can only put the
+    result too high; 1e-10 resolves the 1e-8 gap the caller tests.
+    """
+    mu = _off_span_solve(op, vecs, tol=1e-10, return_eigenvectors=False)[0]
     return sigma + 1.0 / mu
+
+
+def _complete(a, op, sigma, lams, vecs, count):
+    """The lowest `count` eigenpairs of `a` and the eigenvalue after them,
+    from the `count` pairs (orthonormal vectors) of a shift-invert Lanczos
+    solve.
+
+    While an eigenvalue off the span of the pairs found lies more than
+    1e-8 relative below the count-th smallest of them, that eigenpair is
+    solved for on the same deflated operator and added.  When any was
+    added, one Rayleigh-Ritz step over the union of the vectors gives the
+    pairs kept.
+    """
+    while True:
+        kth = np.sort(lams)[count - 1]
+        rest = _lowest_off_span(op, sigma, vecs)
+        if rest >= kth - 1e-8 * abs(kth):
+            break
+        mu, vec = _off_span_solve(op, vecs, tol=0)
+        lams = np.append(lams, sigma + 1.0 / mu[0])
+        vecs = np.hstack([vecs, vec])
+    if len(lams) > count:
+        basis = np.linalg.qr(vecs)[0]
+        lams, ritz = np.linalg.eigh(basis.T @ (a @ basis))
+        rest = min(rest, lams[count])
+        lams, vecs = lams[:count], basis @ ritz[:, :count]
+    return lams, vecs, rest
 
 
 def compute_spectrum(target, count):
@@ -325,17 +375,16 @@ def compute_spectrum(target, count):
     v0 = np.ones(nv)
     op = _band_shift_invert(a, sigma)
     try:
+        # a Krylov basis of 1.5 count solves faster than eigsh's default
+        # 2 count + 1; _complete recovers the multiplet members it skips
         lams, vecs = spla.eigsh(a, k=count, sigma=sigma, which="LM", v0=v0,
-                                tol=0, OPinv=op)
-        rest = _lowest_off_span(op, sigma, vecs)
+                                tol=0, OPinv=op,
+                                ncv=min(nv, max(20, math.ceil(3 * count / 2))))
+        lams, vecs, lam_next = _complete(a, op, sigma, lams, vecs, count)
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
             f"eigensolver did not converge within the iteration budget: {exc}",
         ) from exc
-    if rest < lams.max() - 1e-8 * abs(lams.max()):
-        raise EigensolverError(
-            f"eigensolver missed eigenvalues below {lams.max():.6g} among "
-            f"the lowest {count}: a deflated solve finds {rest:.6g}")
     vecs = d @ vecs
 
     lams = np.maximum(lams, 0.0) * (np.abs(lams) > 1e-9 * max(lams.max(), 1e-30))
@@ -351,7 +400,7 @@ def compute_spectrum(target, count):
             or np.allclose(vecs[:, 0], -const, rtol=1e-6)):
         raise ValueError("constant eigenfunction is not +-1/sqrt(V)")
     return Spectrum(lams, mesh, basis=_VertexBasis(mesh, vecs),
-                    operator_pair=ops)
+                    operator_pair=ops, next_eigenvalue=lam_next)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,11 @@ def _superlu(a, sigma):
     return spla.splu((a - sigma * sparse.identity(a.shape[0])).tocsc())
 
 
+@pytest.fixture(scope="module")
+def icosphere5():
+    return make_sphere(1.0, 5)
+
+
 class TestBandShiftInvert:
     @pytest.mark.parametrize("mesh", [
         ICOSPHERE3, make_torus_mesh((2 * np.pi, np.pi), (24, 20))],
@@ -238,7 +243,7 @@ class TestBandShiftInvert:
 
     def test_failed_factor_fails_the_run(self, tmp_path, capsys, monkeypatch):
         from spectral_embed.cli import main
-        monkeypatch.setattr(lapack, "dpbtrf", lambda band: (band, 1))
+        monkeypatch.setattr(lapack, "dpbtrf", lambda band, **kw: (band, 1))
         cfg = tmp_path / "run.cfg"
         cfg.write_text("manifold.kind = icosphere\n"
                        "manifold.subdivisions = 2\nspectrum.count = 10\n")
@@ -248,43 +253,138 @@ class TestBandShiftInvert:
             "check failed: shifted operator is not positive definite "
             "(dpbtrf info 1)\n")
 
-    def test_band_not_much_larger_than_superlu(self, monkeypatch):
+    def test_band_not_much_larger_than_superlu(self, monkeypatch,
+                                               icosphere5):
         # the band replaces SuperLU at every size; reverse Cuthill-McKee
         # keeps its (w + 1) n entries near the fill of SuperLU's L + U
         # (1.66M against 1.35M on icosphere-5)
         shapes, dpbtrf = [], lapack.dpbtrf
 
-        def recorded(band):
+        def recorded(band, **kw):
             shapes.append(band.shape)
-            return dpbtrf(band)
+            return dpbtrf(band, **kw)
 
         monkeypatch.setattr(lapack, "dpbtrf", recorded)
-        a, sigma, _ = _standard_form(make_sphere(1.0, 5))
+        a, sigma, _ = _standard_form(icosphere5)
         _band_shift_invert(a, sigma)
         lu = _superlu(a, sigma)
         [(rows, n)] = shapes
         assert n == a.shape[0]
         assert rows * n <= 1.5 * (lu.L.nnz + lu.U.nnz)
 
+    def test_band_is_factored_in_place(self, monkeypatch, traced_peak,
+                                       icosphere5):
+        # the band is built in Fortran order and dpbtrf overwrites it; a
+        # factor into a second array reaches 2.1 times its bytes
+        factors, dpbtrf = [], lapack.dpbtrf
+
+        def recorded(band, **kw):
+            chol, info = dpbtrf(band, **kw)
+            factors.append(chol)
+            return chol, info
+
+        monkeypatch.setattr(lapack, "dpbtrf", recorded)
+        a, sigma, _ = _standard_form(icosphere5)
+        _, peak = traced_peak(_band_shift_invert, a, sigma)
+        [chol] = factors
+        assert peak <= 1.3 * chol.nbytes
+
+
+def _torus(side_x, side_y, periods=(2 * np.pi, 2 * np.pi)):
+    return make_torus_mesh(periods, (side_x, side_y))
+
+
+def _recording_eigsh(monkeypatch):
+    """Patch spla.eigsh to record the keyword arguments of each call."""
+    calls, eigsh = [], spla.eigsh
+
+    def recorded(A, **kw):
+        calls.append(kw)
+        return eigsh(A, **kw)
+
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    return calls
+
 
 class TestMissedEigenvalues:
-    # grid tori on which Lanczos from the constant start skips members of a
-    # multiplet and fills the count from the next one, every residual small
-    @pytest.mark.parametrize("periods, divisions, count", [
-        ((2 * np.pi, 4 * np.pi), (24, 48), 37),
-        ((2 * np.pi, 2 * np.pi), (12, 12), 64),
-        ((2 * np.pi, 2 * np.pi), (24, 24), 128)],
-        ids=["24x48-37", "12x12-64", "24x24-128"])
-    def test_skipped_multiplet_members_fail(self, periods, divisions, count):
-        mesh = make_torus_mesh(periods, divisions)
+    # Lanczos from the constant start skips members of a multiplet on each
+    # of these meshes, at a Krylov basis of 1.5 count or of 2 count + 1,
+    # and fills the count from the next eigenvalue, every residual small
+    @pytest.mark.parametrize("mesh, count", [
+        (_torus(24, 48, (2 * np.pi, 4 * np.pi)), 37),
+        (_torus(12, 12), 64),
+        (_torus(24, 24), 128),
+        (make_sphere(1.0, 2), 20), (make_sphere(1.0, 2), 30),
+        (ICOSPHERE3, 30),
+        (_torus(8, 8), 20), (_torus(8, 8), 36), (_torus(8, 8), 37),
+        (_torus(8, 8), 40),
+        (_torus(12, 12), 81),
+        (_torus(20, 20), 36),
+        (_torus(24, 24), 36),
+        (_torus(24, 48, (2 * np.pi, 4 * np.pi)), 49),
+        (_torus(24, 48, (2 * np.pi, 4 * np.pi)), 50),
+        (_torus(24, 48, (2 * np.pi, 4 * np.pi)), 64),
+        (_torus(32, 32), 25), (_torus(32, 32), 30),
+        (_torus(30, 15, (2 * np.pi, np.pi)), 36),
+        (_torus(30, 15, (2 * np.pi, np.pi)), 37)],
+        ids=["24x48-37", "12x12-64", "24x24-128", "ico2-20", "ico2-30",
+             "ico3-30", "8x8-20", "8x8-36", "8x8-37", "8x8-40", "12x12-81",
+             "20x20-36", "24x24-36", "24x48-49", "24x48-50", "24x48-64",
+             "32x32-25", "32x32-30", "30x15-36", "30x15-37"])
+    def test_skipped_multiplet_members_are_recovered(self, mesh, count):
         a, _, _ = _standard_form(mesh)
         dense = np.linalg.eigvalsh(a.toarray())
-        with pytest.raises(EigensolverError,
-                           match="missed eigenvalues") as exc:
-            compute_spectrum(mesh, count)
-        # the eigenvalue it names is one of the lowest `count`
-        found = float(str(exc.value).rsplit(" ", 1)[1])
-        assert np.abs(dense[:count] - found).min() <= 1e-5 * found
+        spec = compute_spectrum(mesh, count)
+        assert spec.eigenvalues[0] == 0.0
+        assert np.abs(spec.eigenvalues[1:] / dense[1:count] - 1.0).max() \
+            <= 1e-9
+        assert spec.next_eigenvalue == pytest.approx(dense[count], rel=1e-9)
+        ops = spec.operator_pair
+        residual = ops.stiffness @ spec.vectors \
+            - ops.mass @ spec.vectors * spec.eigenvalues
+        assert np.all(np.linalg.norm(residual, axis=0)
+                      <= 1e-10 * (1.0 + spec.eigenvalues))
+
+    def test_dropped_multiplet_member_is_recovered(self, monkeypatch):
+        reference = compute_spectrum(ICOSPHERE3, 16)
+        eigsh, calls = spla.eigsh, []
+
+        def drop_one(A, k, **kw):
+            calls.append(k)
+            if len(calls) > 1:
+                return eigsh(A, k=k, **kw)
+            # the first solve returns one l = 4 mode in place of an l = 2 one
+            lams, vecs = eigsh(A, k=k + 1, **kw)
+            keep = np.arange(k + 1) != 5
+            return lams[keep], vecs[:, keep]
+
+        monkeypatch.setattr(spla, "eigsh", drop_one)
+        spec = compute_spectrum(ICOSPHERE3, 16)
+        # the solve, a check that finds the l = 2 mode, its solve, a check
+        assert calls == [16, 1, 1, 1]
+        assert spec.eigenvalues[0] == reference.eigenvalues[0] == 0.0
+        assert np.abs(spec.eigenvalues[1:] / reference.eigenvalues[1:]
+                      - 1.0).max() <= 1e-12
+        assert np.abs(spec.vectors - reference.vectors).max() <= 1e-9
+        assert spec.next_eigenvalue == pytest.approx(
+            reference.next_eigenvalue, rel=1e-9)
+
+    def test_complete_solve_makes_one_check_without_a_vector(
+            self, monkeypatch):
+        calls = _recording_eigsh(monkeypatch)
+        compute_spectrum(ICOSPHERE3, 16)
+        assert [kw["k"] for kw in calls] == [16, 1]
+        assert calls[1]["return_eigenvectors"] is False
+
+    @pytest.mark.parametrize("mesh, count, ncv", [
+        (ICOSPHERE3, 16, 24), (ICOSPHERE3, 41, 62), (ICOSPHERE3, 7, 20),
+        (make_sphere(1.0, 0), 5, 12), (make_sphere(1.0, 0), 11, 12)])
+    def test_krylov_basis_is_one_and_a_half_count(self, monkeypatch, mesh,
+                                                  count, ncv):
+        # min(n, max(20, ceil(3 count / 2))); eigsh's default is 2 count + 1
+        calls = _recording_eigsh(monkeypatch)
+        compute_spectrum(mesh, count)
+        assert calls[0]["k"] == count and calls[0]["ncv"] == ncv
 
     @pytest.mark.parametrize("mesh, count", [
         (ICOSPHERE3, 16), (ICOSPHERE3, 40)], ids=["l0-3", "cut-l6"])
@@ -300,18 +400,83 @@ class TestMissedEigenvalues:
         assert rest == pytest.approx(dense[count], rel=1e-9)
         assert compute_spectrum(mesh, count).count == count
 
-    def test_cli_names_the_count_and_the_eigenvalue(self, tmp_path, capsys):
+    def test_cli_recovers_the_skipped_eigenvalues(self, tmp_path):
         from spectral_embed.cli import main
+        mesh = _torus(24, 48, (2 * np.pi, 4 * np.pi))
         cfg = tmp_path / "run.cfg"
         cfg.write_text("manifold.kind = grid_torus\n"
                        f"manifold.periods = {2 * np.pi}, {4 * np.pi}\n"
                        "manifold.divisions = 24, 48\nspectrum.count = 37\n")
         assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "spectrum" / "eigenvalues.csv") \
+            .read_text().split()[1:]
+        lams = np.array([float(row.split(",")[1]) for row in rows])
+        dense = np.linalg.eigvalsh(_standard_form(mesh)[0].toarray())
+        assert len(lams) == 37 and lams[0] == 0.0
+        assert np.abs(lams[1:] / dense[1:37] - 1.0).max() <= 1e-9
+
+    def test_deflated_solve_that_does_not_converge_fails_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        from spectral_embed.cli import main
+        eigsh = spla.eigsh
+
+        def stalled(A, k, **kw):
+            if k == 1:
+                raise spla.ArpackNoConvergence("No convergence", [], [])
+            return eigsh(A, k=k, **kw)
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifold.kind = icosphere\n"
+                       "manifold.subdivisions = 2\nspectrum.count = 10\n")
+        assert main(["spectrum", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "check failed: eigensolver missed eigenvalues below 6.03005 "
-            "among the lowest 37: a deflated solve finds 4.90375\n")
+            "check failed: eigensolver did not converge within the "
+            "iteration budget: ARPACK error -1: No convergence\n")
         assert not (tmp_path / "out").exists()
+
+
+NEAR_SQUARE = ("manifold.kind = torus\n"
+               f"manifold.periods = {2 * np.pi}, {2 * np.pi * 1.00001}\n")
+
+
+class TestNextEigenvalue:
+    # the eigenvalue after the last kept, and whether `count` cuts its
+    # multiplet, on a mesh and on the closed forms
+    @pytest.mark.parametrize("config, count, lam_next, split", [
+        ("manifold.kind = icosphere\nmanifold.subdivisions = 3\n", 16,
+         19.47012, 0),
+        ("manifold.kind = icosphere\nmanifold.subdivisions = 3\n", 40,
+         39.64889, 1),
+        ("manifold.kind = sphere\n", 225, 240.0, 0),
+        ("manifold.kind = sphere\n", 224, 210.0, 1),
+        ("manifold.kind = circle\n", 11, 36.0, 0),
+        ("manifold.kind = circle\n", 10, 25.0, 1),
+        # eigenvalues 1 / 1.00001^2 (twice), then 1: 2e-5 apart
+        (NEAR_SQUARE, 3, 1.0, 0), (NEAR_SQUARE, 4, 1.0, 1)],
+        ids=["ico3-16", "ico3-40", "sphere-225", "sphere-224", "circle-11",
+             "circle-10", "near-square-3", "near-square-4"])
+    def test_report_names_the_next_eigenvalue_and_the_split(
+            self, tmp_path, config, count, lam_next, split):
+        from spectral_embed.cli import main
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + f"spectrum.count = {count}\n")
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        report = dict(line.split("=", 1) for line in (
+            tmp_path / "out" / "spectrum_report.txt").read_text()
+            .splitlines())
+        assert float(report["lambda_next"]) == pytest.approx(lam_next,
+                                                             rel=1e-6)
+        assert report["multiplet_split"] == str(split)
+
+    def test_closed_form_next_is_read_lazily(self):
+        spec = compute_spectrum(CIRCLE, 11)
+        assert "next_eigenvalue" not in vars(spec)
+        assert spec.next_eigenvalue == 36.0
+        assert not spec.multiplet_split
 
 
 class TestGrowthCheck:
