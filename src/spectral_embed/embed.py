@@ -134,8 +134,7 @@ def make_map(kind, *, evaluator=None, net=None, manifold=None, t=None,
             raise ValueError("kuratowski map needs a manifold and a net")
         # Mesh points are sample indices, so the net's fields already hold
         # every distance the map reads.  Closed-form backends measure: they
-        # run no search, and the sphere's P @ Q.T can round a one-row call
-        # differently from the stacked one.
+        # run no search.
         fields = net.fields if isinstance(manifold, TriMesh) else None
         return EmbeddingMap(kind, "max", 1.0, manifold=manifold,
                             net_points=net.points, net_fields=fields)
@@ -247,9 +246,7 @@ def _sample_pairs(manifold, size, count, rng, keep, capped, empty,
     when no point passes.
 
     Fields, which may be inf beyond `limit`, are computed SOURCE_BLOCK
-    sources at a time.  A source's own column is zeroed: closed-form
-    distances can leave roundoff there (arccos on the sphere), and a point
-    is no pair with itself.
+    sources at a time.
     """
     P = manifold.sample_points()
     sources = rng.choice(len(P), size=min(size, len(P)), replace=False)
@@ -258,7 +255,6 @@ def _sample_pairs(manifold, size, count, rng, keep, capped, empty,
     for start in range(0, len(sources), SOURCE_BLOCK):
         block = sources[start:start + SOURCE_BLOCK]
         fields = manifold.distance_between(P[block], P, limit=limit)
-        fields[np.arange(len(block)), block] = 0.0
         for i, field in enumerate(fields, start):
             picked = np.nonzero(keep(field))[0]
             if capped and picked.size:
@@ -362,10 +358,10 @@ def _dilatation(emap, seps, ds, h_near):
                            {"norm": emap.norm, "m": emap.ambient_dim()})
 
 
-def _injectivity(seps, ds, h_far):
+def _injectivity(seps, h_far):
     """Report on far pairs from their image separations `seps`."""
     return {"margin": float(seps.min()), "pairs": len(seps),
-            "h_far": float(h_far), "min_distance": float(np.min(ds))}
+            "h_far": float(h_far)}
 
 
 def _feature_gaps(emap, pairs):
@@ -390,7 +386,7 @@ def injectivity_report(emap, manifold, h_far, *, count=400, seed=0):
     injectivity at the sample resolution."""
     far = _far_pairs(manifold, h_far, count, seed)
     seps = _separations(emap, _feature_gaps(emap, far), _net_features(emap))
-    return _injectivity(seps, far[2], h_far)
+    return _injectivity(seps, h_far)
 
 
 def continuous_dilatation(ev, p, t):
@@ -448,7 +444,7 @@ def scan_embedding(kind, *, evaluator=None, net=None, manifold=None,
         far_seps = _separations(emap, far_gaps, net_features)
         results.append({
             "t": t, "report": _dilatation(emap, near_seps, near[2], h_near),
-            "injectivity": _injectivity(far_seps, far[2], h_far)})
+            "injectivity": _injectivity(far_seps, h_far)})
     best = min(results,
                key=lambda r: max(abs(r["report"].dil_max - 1.0),
                                  abs(1.0 - r["report"].dil_min)))

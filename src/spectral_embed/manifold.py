@@ -577,7 +577,9 @@ def make_torus_mesh(periods, divisions):
 # ---------------------------------------------------------------------------
 
 class AnalyticManifold:
-    """Base for closed-form backends; subclasses fix kind and geometry."""
+    """Base for closed-form backends; subclasses fix kind and geometry.
+    Each binds `distance_between` in its own body, so that per-class
+    profiling sees its queries."""
 
     kind = None
 
@@ -587,14 +589,17 @@ class AnalyticManifold:
         `limit` is accepted for the point-set protocol and ignored: exact
         distances cost the same at any range, so every entry is finite.
         """
-        raise NotImplementedError
+        P, Q = np.atleast_2d(P), np.atleast_2d(Q)
+        return self._metric(P.T[:, :, None], Q.T)
 
     def distance(self, P, Q):
         """Elementwise geodesic distance between matched point arrays."""
-        return self._paired_distance(np.atleast_2d(P), np.atleast_2d(Q))
+        return self._metric(np.atleast_2d(P).T, np.atleast_2d(Q).T)
 
-    def _paired_distance(self, P, Q):
-        """Row-by-row distance, equal to the diagonal of `distance_between`."""
+    def _metric(self, P, Q):
+        """The distance between points given by their per-axis components
+        P[k] and Q[k], elementwise over the broadcast shape: a pair has the
+        same bits in `distance`, in `distance_between` and swapped."""
         raise NotImplementedError
 
     def distance_from(self, p, P=None):
@@ -644,20 +649,15 @@ class FlatTorus(AnalyticManifold):
     def wrap(self, disp):
         return disp - self.periods * np.round(disp / self.periods)
 
-    def distance_between(self, P, Q, limit=np.inf):
-        P, Q = np.atleast_2d(P), np.atleast_2d(Q)
-        return self._length(p[:, None] - q
-                            for p, q in zip(P.T, Q.T, strict=True))
+    distance_between = AnalyticManifold.distance_between
 
-    def _paired_distance(self, P, Q):
-        return self._length(p - q for p, q in zip(P.T, Q.T, strict=True))
-
-    def _length(self, displacements):
-        """|wrap(d)| from the per-axis components of d, one contiguous pass
-        per axis.  The squares are summed in axis order, as norm(axis=-1)
-        sums up to seven of them (numpy sums more pairwise)."""
+    def _metric(self, P, Q):
+        """|wrap(p - q)|, one contiguous pass per axis.  The squares are
+        summed in axis order, as norm(axis=-1) sums up to seven of them
+        (numpy sums more pairwise)."""
         total = None
-        for d, per in zip(displacements, self.periods, strict=True):
+        for p, q, per in zip(P, Q, self.periods, strict=True):
+            d = p - q
             w = d / per
             np.round(w, out=w)
             w *= per
@@ -720,8 +720,7 @@ class Circle(FlatTorus):
     def __init__(self, length, samples=2048):
         super().__init__((length,), samples=samples)
 
-    # bound in this class too, so per-class profiling sees circle queries
-    distance_between = FlatTorus.distance_between
+    distance_between = AnalyticManifold.distance_between
 
 
 class _TorusBasis:
@@ -796,15 +795,16 @@ class Sphere(AnalyticManifold):
         return self.radius * np.column_stack([r * np.cos(phi),
                                               r * np.sin(phi), z])
 
-    def distance_between(self, P, Q, limit=np.inf):
-        P, Q = np.atleast_2d(P), np.atleast_2d(Q)
-        cosang = (P @ Q.T) / self.radius ** 2
-        return self.radius * np.arccos(np.clip(cosang, -1.0, 1.0))
+    distance_between = AnalyticManifold.distance_between
 
-    def _paired_distance(self, P, Q):
-        # vecdot rounds each 3-term product as the 1x3 @ 3x1 matmul does
-        cosang = np.vecdot(P, Q) / self.radius ** 2
-        return self.radius * np.arccos(np.clip(cosang, -1.0, 1.0))
+    def _metric(self, P, Q):
+        """R atan2(|p x q|, p . q): exactly 0 at p = q and pi R at p = -q,
+        where R arccos(p . q / R^2) is off by up to 2.6e-8.  Dividing by R
+        first keeps |p x q|^2 in the double range."""
+        (px, py, pz), (qx, qy, qz) = P / self.radius, Q / self.radius
+        cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+        return self.radius * np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz),
+                                        px * qx + py * qy + pz * qz)
 
     def tangent_frame(self, p):
         p = np.asarray(p, dtype=float).ravel()
@@ -905,7 +905,8 @@ class _SphereBasis:
 
     def _angles(self, P):
         X = np.atleast_2d(P) / self.manifold.radius
-        theta = np.arccos(np.clip(X[:, 2], -1.0, 1.0))
+        # arccos(z) would round theta below about 1.5e-8 to 0
+        theta = np.arctan2(np.hypot(X[:, 0], X[:, 1]), X[:, 2])
         phi = np.arctan2(X[:, 1], X[:, 0])
         return theta, phi
 

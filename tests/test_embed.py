@@ -300,11 +300,11 @@ class TestInjectivity:
         # modes below the fiber gap are constant along the fiber
         f_lo = make_map("F", evaluator=ev, eigencount=18, t=0.01)
         lo = _injectivity(image_distance(f_lo, evaluate_map(f_lo, a),
-                                         evaluate_map(f_lo, b)), d, 0.1)
+                                         evaluate_map(f_lo, b)), 0.1)
         assert lo["margin"] <= 1e-8
         f_hi = make_map("F", evaluator=ev, eigencount=22, t=0.01)
         hi = _injectivity(image_distance(f_hi, evaluate_map(f_hi, a),
-                                         evaluate_map(f_hi, b)), d, 0.1)
+                                         evaluate_map(f_hi, b)), 0.1)
         assert hi["margin"] > 1e-3
 
 
@@ -585,9 +585,7 @@ def test_closed_form_pairs_are_sample_points(man):
     far = sample_far_pairs(man, h_far, 400, rng)
     assert len(near[0]) == 400 and len(far[0]) == 384
     for xs, ys, ds in (near, far):
-        ix = [rows[p.tobytes()] for p in xs]
-        iy = [rows[p.tobytes()] for p in ys]
-        assert not np.any(np.equal(ix, iy))
+        assert all(p.tobytes() in rows for p in np.vstack([xs, ys]))
         assert np.array_equal(ds, man.distance(xs, ys))
     assert np.all((near[2] > 0) & (near[2] <= h_near))
     assert np.all(far[2] >= h_far)
@@ -595,24 +593,48 @@ def test_closed_form_pairs_are_sample_points(man):
 
 _BLOCK_BACKENDS = {
     "circle": lambda: CIRCLE, "torus": lambda: FlatTorus((2 * np.pi, 0.5)),
-    "sphere": lambda: Sphere(1.0), "icosphere3": lambda: ICOSPHERE3}
+    "sphere": lambda: Sphere(1.0), "icosphere3": lambda: ICOSPHERE3,
+    "grid_torus": lambda: GRID_TORUS_24X20}
+
+
+def _scale(man, sampler):
+    """The near pairs' default h_near, or the far pairs' default h_far."""
+    return (4 * man.resolution() if sampler is sample_near_pairs
+            else man.diameter() / 8)
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_BACKENDS))
 @pytest.mark.parametrize("sampler", [sample_near_pairs, sample_far_pairs])
 def test_source_blocks_match_one_block(name, sampler, monkeypatch):
-    # 64 and 32 sources come in whole blocks of 8: the sphere's P @ Q.T
-    # rounds a one-row block differently, as any one-row call
+    # blocks of 8, 3 and 1 sources, the last of 3 short, against one block
     from spectral_embed import embed
     man = _BLOCK_BACKENDS[name]()
-    h = (4 * man.resolution() if sampler is sample_near_pairs
-         else man.diameter() / 8)
-    got = sampler(man, h, 400, np.random.default_rng(5))
-    monkeypatch.setattr(embed, "SOURCE_BLOCK", 1 << 20)
-    ref = sampler(man, h, 400, np.random.default_rng(5))
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    h = _scale(man, sampler)
+    got = [sampler(man, h, 400, np.random.default_rng(5))]
+    for block in (3, 1, 1 << 20):
+        monkeypatch.setattr(embed, "SOURCE_BLOCK", block)
+        got.append(sampler(man, h, 400, np.random.default_rng(5)))
+    *got, ref = got
+    for pairs in got:
+        for a, b in zip(pairs, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_BACKENDS))
+@pytest.mark.parametrize("sampler", [sample_near_pairs, sample_far_pairs])
+def test_no_pair_joins_a_point_to_itself(name, sampler):
+    # the sampler keeps d > 0 or d >= h_far > 0, and every backend's
+    # distance from a point to itself is exactly 0
+    man = _BLOCK_BACKENDS[name]()
+    P = man.sample_points()
+    rows = {p.tobytes(): i for i, p in enumerate(P)}
+    h = _scale(man, sampler)
+    xs, ys, ds = sampler(man, h, 400, np.random.default_rng(3))
+    ix = [rows[p.tobytes()] for p in xs]
+    iy = [rows[p.tobytes()] for p in ys]
+    assert len(ix) and not np.any(np.equal(ix, iy))
+    assert np.all(ds > 0)
 
 
 @pytest.mark.parametrize("man", [CIRCLE, FlatTorus((2 * np.pi, 2 * np.pi))],
@@ -622,8 +644,7 @@ def test_pair_sampling_peak_memory(man, sampler, traced_peak):
     # 4096 samples: fields of 8 sources at a time peak near 1.2 MiB; one
     # (64, 4096) array of every near source's field took 4.0 MiB on the
     # circle and 6.1 on the torus, one (32, 4096) of the far ones 2.0 and 3.1
-    h = (4 * man.resolution() if sampler is sample_near_pairs
-         else man.diameter() / 8)
+    h = _scale(man, sampler)
     _, peak = traced_peak(sampler, man, h, 400, np.random.default_rng(0))
     assert peak <= 1.5 * 2 ** 20
 

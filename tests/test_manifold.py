@@ -1,10 +1,15 @@
 import copy
+import functools
 import inspect
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spectral_embed import manifold, reporting
 from spectral_embed.manifold import (
@@ -501,6 +506,35 @@ class TestLeanBuild:
                                  (192, 192))
         assert peak <= 3.35 * mesh.faces.nbytes
 
+    def test_build_peak_rss(self):
+        # process RSS counts what tracemalloc does not, the stable sort's
+        # merge buffer among it.  A fresh process's peak RSS grows by 3.57
+        # face arrays over the 384^2 build (6.75 MiB each), and by 4.45
+        # with one more key-sized array (one face array) kept alive through
+        # validation; the bound leaves 0.43 (2.9 MiB) above the first.  The
+        # peak is VmHWM, that of the process's own address space:
+        # ru_maxrss is kept across exec, so it starts at this process's
+        # RSS and would hide the build
+        script = "\n".join([
+            "import numpy as np",
+            "from spectral_embed.manifold import make_torus_mesh",
+            "def peak():",
+            "    with open('/proc/self/status') as fh:",
+            "        return next(int(line.split()[1]) for line in fh",
+            "                    if line.startswith('VmHWM:'))",
+            "before = peak()",
+            "mesh = make_torus_mesh((2 * np.pi, 2 * np.pi), (384, 384))",
+            "print((peak() - before) * 1024 / mesh.faces.nbytes)"])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 4.0
+
     def test_no_half_edge_array_is_kept(self):
         mesh = make_sphere(1.0, 3)
         # the faces themselves are (F, 3); a half-edge array is (3F,)
@@ -624,28 +658,146 @@ class TestAnalytic:
 
 _PROTOCOL_BACKENDS = {
     "icosphere2": lambda: make_sphere(1.0, 2),
+    "grid_torus": lambda: make_torus_mesh((2.0, 3.0), (12, 10)),
     "sphere": lambda: Sphere(1.3),
     "torus": lambda: FlatTorus((2.0, 3.0)),
     "circle": lambda: Circle(5.0),
 }
+_CLOSED_FORMS = ["circle", "sphere", "torus"]
+
+
+@functools.cache
+def _backend(name):
+    return _PROTOCOL_BACKENDS[name]()
+
+
+def _injectivity_radius(man):
+    return man.diameter() if man.kind == "sphere" else man.periods.min() / 2
+
+
+def _unit(data, dim):
+    """A unit vector of `dim` components drawn by hypothesis."""
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                    max_size=dim)))
+    assume(np.linalg.norm(v) > 1e-3)
+    return v / np.linalg.norm(v)
+
+
+def _points(data, man, size=5):
+    """1 to `size` points: vertex indices on a mesh; on a closed form,
+    coordinates anywhere, off the sphere's grid and outside the torus'
+    fundamental domain too."""
+    count = data.draw(st.integers(1, size))
+    if isinstance(man, TriMesh):
+        return np.array(data.draw(st.lists(
+            st.integers(0, len(man.vertices) - 1), min_size=count,
+            max_size=count)))
+    if man.kind == "sphere":
+        return np.array([man.radius * _unit(data, 3) for _ in range(count)])
+    return np.array([[data.draw(st.floats(-2 * per, 2 * per))
+                      for per in man.periods] for _ in range(count)])
 
 
 class TestPointSetProtocol:
-    """Meshes and closed-form backends answer the same point-set calls."""
+    """The contract of the point-set calls, on every backend.  The
+    diagonal is exactly 0.  On the closed forms, `distance_between` is
+    symmetric and its one-row calls equal the stacked call, bit for bit;
+    on the meshes both hold to roundoff."""
 
     @pytest.mark.parametrize("name", sorted(_PROTOCOL_BACKENDS))
     def test_distances_and_weights(self, name):
-        man = _PROTOCOL_BACKENDS[name]()
+        man = _backend(name)
         samples = man.sample_points()
         P = samples[[0, 7, 31]]
         rows = man.distance_between(P, samples)
         assert rows.shape == (3, len(samples))
         for p, row in zip(P, rows):
-            assert np.allclose(row, man.distance_from(p), rtol=0, atol=1e-12)
+            assert np.array_equal(row, man.distance_from(p))
         weights = man.sample_weights(samples)
         assert weights.sum() == pytest.approx(man.volume, rel=1e-10)
         assert man.tangent_frame(P[1]).shape[0] == man.dim
         assert man.resolution() > 0
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL_BACKENDS))
+    def test_zero_diagonal(self, name):
+        man = _backend(name)
+        S = man.sample_points()
+        for start in range(0, len(S), 512):
+            block = np.arange(start, min(start + 512, len(S)))
+            D = man.distance_between(S[block], S)
+            assert np.all(D[np.arange(len(block)), block] == 0.0)
+        if name in _CLOSED_FORMS:
+            assert np.all(man.distance(S, S) == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL_BACKENDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_symmetric_and_rows_equal_stacked(self, name, data):
+        man = _backend(name)
+        P, Q = _points(data, man), _points(data, man)
+        D = man.distance_between(P, Q)
+        rows = np.vstack([man.distance_between(P[i:i + 1], Q)
+                          for i in range(len(P))])
+        if name not in _CLOSED_FORMS:
+            np.testing.assert_allclose(D, man.distance_between(Q, P).T,
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(D, rows, rtol=1e-14, atol=0)
+            return
+        assert D.tobytes() == man.distance_between(Q, P).T.tobytes()
+        assert D.tobytes() == rows.tobytes()
+        # the elementwise form is the 1x1 call, pair by pair
+        k = min(len(P), len(Q))
+        pairs = [man.distance_between(p[None], q[None])[0, 0]
+                 for p, q in zip(P[:k], Q[:k])]
+        assert man.distance(P[:k], Q[:k]).tobytes() \
+            == np.array(pairs).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_PROTOCOL_BACKENDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_triangle_inequality(self, name, data):
+        man = _backend(name)
+        A, B, C = (_points(data, man) for _ in range(3))
+        ac = man.distance_between(A, C)[:, None, :]
+        abc = (man.distance_between(A, B)[:, :, None]
+               + man.distance_between(B, C)[None, :, :])
+        # to 1e-12: coordinates of size 5 or less round at about 1e-15
+        assert np.all(ac <= abc + 1e-12)
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exp_is_inverted_below_the_injectivity_radius(self, name, data):
+        man = _backend(name)
+        p = _points(data, man, size=1)
+        frame = man.tangent_frame(p[0])
+        length = (data.draw(st.floats(0.01, 0.99))
+                  * _injectivity_radius(man))
+        v = length * _unit(data, man.dim) @ frame
+        d = man.distance_between(p, man.exp(p, v))[0, 0]
+        assert d == pytest.approx(np.linalg.norm(v), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_at_most_the_diameter(self, name, data):
+        # a mesh's diameter() is a double-sweep lower bound, so the meshes
+        # are not held to it
+        man = _backend(name)
+        assert np.all(man.distance_between(_points(data, man),
+                                           man.sample_points())
+                      <= man.diameter())
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(1e-150, 1e150), data=st.data())
+    def test_sphere_antipodes_are_pi_r_apart(self, radius, data):
+        sphere = Sphere(radius)
+        P = _points(data, sphere)
+        ulps = 4 * np.spacing(sphere.diameter())
+        assert np.all(np.abs(sphere.distance(P, -P) - sphere.diameter())
+                      <= ulps)
+        assert np.all(np.abs(sphere.distance_between(P, -P).diagonal()
+                             - sphere.diameter()) <= ulps)
 
     def test_mesh_distance_between_is_stacked_dijkstra(self):
         mesh = make_sphere(1.0, 2)
@@ -680,12 +832,6 @@ class TestGeodesics:
         d = c.distance(np.array([[0.0]]), np.array([[np.pi]]))
         assert d[0] == pytest.approx(np.pi)
 
-    def test_distance_to_self(self):
-        c = Circle(2 * np.pi)
-        assert c.distance(np.array([[1.2]]), np.array([[1.2]]))[0] == 0.0
-        mesh = make_sphere(1.0, 2)
-        assert mesh.graph_distance_from(5)[5] == 0.0
-
     def test_sphere_antipodal_on_mesh(self):
         mesh = make_sphere(1.0, 4)
         field = mesh.graph_distance_from(0)
@@ -709,14 +855,6 @@ class TestGeodesics:
         t = FlatTorus((4.0, 2.0))
         d = t.distance(np.array([[3.9, 0.1]]), np.array([[0.1, 1.9]]))
         assert d[0] == pytest.approx(np.hypot(0.2, 0.2))
-
-    def test_triangle_inequality_sampled(self):
-        mesh = make_sphere(1.0, 2)
-        rng = np.random.default_rng(0)
-        d0 = mesh.graph_distance_from(0)
-        for v in rng.integers(1, len(mesh.vertices), size=5):
-            dv = mesh.graph_distance_from(int(v))
-            assert np.all(d0 <= d0[int(v)] + dv + 1e-12)
 
 
 class TestLaplacian:
@@ -1002,6 +1140,16 @@ class TestSphereAllDegrees:
         _assert_within(grads[:, top], mp_grads, gscale[top],
                        _sphere_eps(80, "mpmath"))
 
+    def test_theta_1e_8_matches_mpmath(self):
+        # cos(1e-8) rounds to 1, so a polar angle taken as arccos(z / R)
+        # is 0 there and gives Y_19^1 = -0.0; 40-digit mpmath at the true
+        # angle gives 2.4283e-7
+        basis = Sphere(1.0).eigenbasis(400)
+        P = np.array([[np.sin(1e-8), 0.0, np.cos(1e-8)]])
+        y = _mp_harmonic(19, 1, np.array([1e-8]), np.array([0.0]))[0, 0]
+        got = basis.values(P)[0, basis.labels.index((19, 1))]
+        assert got == pytest.approx(-np.sqrt(2.0) * y.real, rel=1e-14)
+
     def test_sup_norms_match_per_label_calls(self):
         # the sampled sup norms against sph_harm_y's over the same sample,
         # and each against 40-digit mpmath at the point that attains it
@@ -1183,17 +1331,3 @@ class TestTorusBasis:
         lams = FlatTorus((1e10, 1.0)).eigenbasis(16).eigenvalues
         k = (2 * np.pi / 1e10) ** 2
         assert np.allclose(lams, k * np.repeat(np.arange(9), 2)[1:17] ** 2)
-
-
-@pytest.mark.parametrize("name", ["sphere", "torus", "circle"])
-def test_elementwise_distance_matches_pairwise_rows(name):
-    man = _PROTOCOL_BACKENDS[name]()
-    S = man.sample_points()
-    rng = np.random.default_rng(1)
-    P, Q = S[rng.integers(0, len(S), 500)], S[rng.integers(0, len(S), 500)]
-    Q[:3] = P[:3]
-    # the per-pair form: one 1x1 distance_between per row
-    ref = np.array([man.distance_between(p[None], q[None])[0, 0]
-                    for p, q in zip(P, Q)])
-    assert np.array_equal(man.distance(P, Q), ref)
-    assert np.all(man.distance(P[:3], Q[:3]) == 0.0)
